@@ -25,13 +25,12 @@ from .io import (
     write_stats_csv,
 )
 from .lists import FUOTable, PatternNode, UONList, UOTuple, build_initial_nodes, construct
-from .oracle import OracleConfig, brute_force_mine, enumerate_supported
+from .oracle import brute_force_mine, enumerate_supported
 from .search import (
     HUOPResult,
     SearchStats,
     length_upper_bound,
     mine,
-    search_subtree,
     unconstrained_maxlen,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "GeneratorSpec",
     "HUOPResult",
     "MiningParams",
-    "OracleConfig",
     "Pattern",
     "PatternNode",
     "RevisedDatabase",
@@ -66,7 +64,6 @@ __all__ = [
     "parse_quantity_profit",
     "parse_spmf_utility",
     "revise_database",
-    "search_subtree",
     "support_counts",
     "unconstrained_maxlen",
     "write_quantity_profit",

@@ -42,7 +42,11 @@ def _add_mining_flags(p: argparse.ArgumentParser) -> None:
         "--maxlen", type=int, default=0,
         help="maximum pattern length; 0 means unconstrained (default 0)",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility, no effect: the search is serial, "
+        "a thread pool was measured no faster (default 1)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +145,7 @@ def _stats_row(args, maxlen_flag: int, stats, results) -> dict[str, object]:
 def run_mine(args: argparse.Namespace) -> int:
     db = _load_db(args)
     params = _resolve_params(args, db, args.maxlen)
-    results, stats = mine(db, params, threads=args.threads)
+    results, stats = mine(db, params)
     if args.output:
         dataio.write_results(results, db, args.output)
     else:
@@ -158,7 +162,7 @@ def _describe(db: TransactionDatabase, r: HUOPResult) -> str:
 def run_verify(args: argparse.Namespace) -> int:
     db = _load_db(args)
     params = _resolve_params(args, db, args.maxlen)
-    got, _ = mine(db, params, threads=args.threads)
+    got, _ = mine(db, params)
     want = brute_force_mine(db, params, max_items=args.max_items)
 
     got_map = {r.pattern: r for r in got}
@@ -211,7 +215,7 @@ def run_bench(args: argparse.Namespace) -> int:
             row_args.minuo = v
         maxlen_flag = v if args.sweep == "maxlen" else row_args.maxlen
         params = _resolve_params(row_args, db, maxlen_flag)
-        results, stats = mine(db, params, threads=args.threads)
+        results, stats = mine(db, params)
         rows.append(_stats_row(row_args, maxlen_flag, stats, results))
 
     dataio.write_stats_csv(rows, args.stats if args.stats else sys.stdout)

@@ -74,12 +74,6 @@ class TotalOrder:
     items: tuple[int, ...]
     rank: Mapping[int, int]
 
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.rank
-
 
 @dataclass(frozen=True)
 class RevisedDatabase:

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import csv
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .database import TransactionDatabase, build_database
 from .errors import DatasetConsistencyError, DatasetFormatError
@@ -36,12 +37,12 @@ TU_TOLERANCE = 1e-6
 # ---------------------------------------------------------------------------
 # parsing
 
-def _open_lines(source) -> tuple[list[str], bool]:
-    """Return (lines, we_opened_it); accepts a path or a text stream."""
+def _open_lines(source) -> list[str]:
+    """Return the lines of a path or a text stream."""
     if hasattr(source, "read"):
-        return source.read().splitlines(), False
+        return source.read().splitlines()
     with open(source, "r", encoding="utf-8") as handle:
-        return handle.read().splitlines(), True
+        return handle.read().splitlines()
 
 
 def _data_lines(lines: Iterable[str], allow_comments: bool):
@@ -61,7 +62,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
     utilities, and lines whose declared TU strays from the sum of the
     per-item utilities by more than ``TU_TOLERANCE``.
     """
-    lines, _ = _open_lines(source)
+    lines = _open_lines(source)
     rows = []
     tid = 0
     for no, line in _data_lines(lines, allow_comments=False):
@@ -108,7 +109,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
 
 def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
     """Parse a quantity file and its profit table into a database."""
-    profit_lines, _ = _open_lines(profit_source)
+    profit_lines = _open_lines(profit_source)
     utilities: dict[str, float] = {}
     for no, line in _data_lines(profit_lines, allow_comments=True):
         fields = line.split()
@@ -125,7 +126,7 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             raise DatasetFormatError(f"unit utility for item {label!r} must be positive", no)
         utilities[label] = eu
 
-    tx_lines, _ = _open_lines(tx_source)
+    tx_lines = _open_lines(tx_source)
     rows = []
     tid = 0
     for no, line in _data_lines(tx_lines, allow_comments=True):
@@ -199,10 +200,15 @@ def generate_synthetic(spec: GeneratorSpec) -> TransactionDatabase:
 # ---------------------------------------------------------------------------
 # writing
 
-def _open_out(dest) -> tuple[IO[str], bool]:
+@contextmanager
+def _output(dest) -> Iterator[IO[str]]:
+    """Yield a text stream for a path or a stream; only a path opened
+    here is closed again."""
     if hasattr(dest, "write"):
-        return dest, False
-    return open(dest, "w", encoding="utf-8", newline=""), True
+        yield dest
+        return
+    with open(dest, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def _fmt_number(value: float) -> str:
@@ -214,14 +220,10 @@ def _fmt_number(value: float) -> str:
 def write_results(results: Sequence[HUOPResult], db: TransactionDatabase, dest) -> None:
     """One line per pattern: labels, support count, occupancy to five
     decimal places.  Expects results already in their canonical order."""
-    out, close = _open_out(dest)
-    try:
+    with _output(dest) as out:
         for r in results:
             labels = " ".join(db.labels_of(r.pattern))
             out.write(f"{labels} #SUP: {r.sup} #UO: {r.uo:.5f}\n")
-    finally:
-        if close:
-            out.close()
 
 
 STATS_FIELDS = (
@@ -239,36 +241,24 @@ STATS_FIELDS = (
 
 def write_stats_csv(rows: Iterable[Mapping[str, object]], dest) -> None:
     """Write run statistics as CSV with a fixed header."""
-    out, close = _open_out(dest)
-    try:
+    with _output(dest) as out:
         writer = csv.DictWriter(out, fieldnames=STATS_FIELDS, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-    finally:
-        if close:
-            out.close()
 
 
 def write_quantity_profit(db: TransactionDatabase, tx_dest, profit_dest) -> None:
     """Write a database in the quantity-profit pair of files."""
-    out, close = _open_out(tx_dest)
-    try:
+    with _output(tx_dest) as out:
         for tx in db.transactions:
             pairs = " ".join(
                 f"{db.item_labels[item]}:{_fmt_number(qty)}" for item, qty in tx.entries.items()
             )
             out.write(pairs + "\n")
-    finally:
-        if close:
-            out.close()
-    out, close = _open_out(profit_dest)
-    try:
+    with _output(profit_dest) as out:
         for item, label in enumerate(db.item_labels):
             out.write(f"{label} {_fmt_number(db.utility_table[item])}\n")
-    finally:
-        if close:
-            out.close()
 
 
 def write_spmf_utility(db: TransactionDatabase, dest) -> None:
@@ -277,14 +267,10 @@ def write_spmf_utility(db: TransactionDatabase, dest) -> None:
     Labels are written verbatim; only databases with integer item labels
     produce files that :func:`parse_spmf_utility` accepts back.
     """
-    out, close = _open_out(dest)
-    try:
+    with _output(dest) as out:
         for tx in db.transactions:
             items = " ".join(db.item_labels[item] for item in tx.entries)
             utilities = " ".join(
                 _fmt_number(qty * db.utility_table[item]) for item, qty in tx.entries.items()
             )
             out.write(f"{items}:{_fmt_number(tx.tu)}:{utilities}\n")
-    finally:
-        if close:
-            out.close()

@@ -114,7 +114,6 @@ def construct(
     xa: PatternNode,
     xb: PatternNode,
     min_sup_count: int,
-    trim_to: int | None = None,
 ) -> PatternNode | None:
     """Join sibling nodes ``xa`` and ``xb`` into their union pattern.
 
@@ -122,10 +121,6 @@ def construct(
     single items).  Returns ``None`` when the scan proves the union's
     support cannot reach ``min_sup_count``; this is the only way a join
     can come back empty.
-
-    ``trim_to`` is an optional experiment: when set, inherited ``luo``
-    lists are cut down to the room actually left under that length cap.
-    The default keeps them as inherited.
     """
     pattern = xa.pattern + (xb.pattern[-1],)
     a_tuples = xa.uonl.tuples
@@ -138,7 +133,6 @@ def construct(
     rruo_sum = 0.0
     ib = 0
     ip = 0
-    keep = None if trim_to is None else max(0, trim_to - len(pattern))
 
     for ea in a_tuples:
         while ib < len(b_tuples) and b_tuples[ib].tid < ea.tid:
@@ -155,10 +149,9 @@ def construct(
                         f"prefix {prefix.pattern} has no entry for transaction {ea.tid}"
                     )
                 uo = ea.uo + eb.uo - p_tuples[ip].uo
-            luo = eb.luo if keep is None else eb.luo[:keep]
-            out.append(UOTuple(tid=ea.tid, uo=uo, luo=luo))
+            out.append(UOTuple(tid=ea.tid, uo=uo, luo=eb.luo))
             uo_sum += uo
-            rruo_sum += sum(luo)
+            rruo_sum += sum(eb.luo)
             ib += 1
         else:
             sup_ub -= 1

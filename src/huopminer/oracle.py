@@ -8,8 +8,6 @@ vocabularies, so runs are refused beyond a configurable item cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .database import (
     MiningParams,
     Pattern,
@@ -23,20 +21,6 @@ from .measures import uo_of_pattern
 from .search import HUOPResult
 
 DEFAULT_MAX_ITEMS = 25
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Enumeration settings for a reference run."""
-
-    max_enum_len: int
-    params: MiningParams
-
-    def __post_init__(self) -> None:
-        if self.max_enum_len < self.params.maxlen:
-            raise ValueError(
-                f"max_enum_len {self.max_enum_len} below params.maxlen {self.params.maxlen}"
-            )
 
 
 def _guard(db: TransactionDatabase, max_items: int) -> None:

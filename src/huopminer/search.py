@@ -17,7 +17,6 @@ short prefixes are always explored.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .database import (
@@ -59,13 +58,6 @@ class SearchStats:
     early_aborts: int = 0
     runtime_ms: int = 0
 
-    def merge(self, other: "SearchStats") -> None:
-        self.visited_nodes += other.visited_nodes
-        self.constructions += other.constructions
-        self.lub_prunes += other.lub_prunes
-        self.support_prunes += other.support_prunes
-        self.early_aborts += other.early_aborts
-
 
 def length_upper_bound(uonl: UONList, min_sup_count: int) -> float:
     """Upper bound on the mean occupancy of any extension reachable from
@@ -81,64 +73,45 @@ def length_upper_bound(uonl: UONList, min_sup_count: int) -> float:
     return sum(values[:min_sup_count]) / min_sup_count
 
 
-def _process_node(
-    prefix: PatternNode | None,
-    exten: list[PatternNode],
-    pos: int,
-    params: MiningParams,
-    min_sc: int,
-    results: list[HUOPResult],
-    stats: SearchStats,
-    bound_log: list[tuple[Pattern, float]] | None,
-    trim_to: int | None,
-) -> None:
-    xa = exten[pos]
-    stats.visited_nodes += 1
-    if xa.fuot.sup < min_sc:
-        stats.support_prunes += 1
-        return
-    if xa.fuot.uo >= params.beta and len(xa.pattern) >= params.minlen:
-        results.append(HUOPResult(pattern=xa.pattern, sup=xa.fuot.sup, uo=xa.fuot.uo))
-    bound = length_upper_bound(xa.uonl, min_sc)
-    if bound_log is not None:
-        bound_log.append((xa.pattern, bound))
-    if bound < params.beta:
-        stats.lub_prunes += 1
-        return
-    sub_exten: list[PatternNode] = []
-    for j in range(pos + 1, len(exten)):
-        stats.constructions += 1
-        node = construct(prefix, xa, exten[j], min_sc, trim_to=trim_to)
-        if node is None:
-            stats.early_aborts += 1
-        elif node.fuot.sup >= min_sc:
-            sub_exten.append(node)
-    # Enter the subtree only while joined patterns can stay within maxlen.
-    if len(xa.pattern) + 1 <= params.maxlen:
-        for sub_pos in range(len(sub_exten)):
-            _process_node(
-                xa, sub_exten, sub_pos, params, min_sc, results, stats, bound_log, trim_to
-            )
-
-
 def search_subtree(
     prefix: PatternNode | None,
     exten: list[PatternNode],
     params: MiningParams,
-    db_size: int,
+    min_sc: int,
     results: list[HUOPResult],
     stats: SearchStats,
     bound_log: list[tuple[Pattern, float]] | None = None,
-    trim_to: int | None = None,
 ) -> None:
     """Visit each extension of ``prefix`` in mining order and recurse.
 
-    ``db_size`` must be the original database size; support thresholds
-    are relative to it at every depth.
+    ``min_sc`` is the support count threshold, taken relative to the
+    original database size at every depth.
     """
-    min_sc = min_support_count(params.alpha, db_size)
-    for pos in range(len(exten)):
-        _process_node(prefix, exten, pos, params, min_sc, results, stats, bound_log, trim_to)
+    for pos, xa in enumerate(exten):
+        stats.visited_nodes += 1
+        if xa.fuot.sup < min_sc:
+            stats.support_prunes += 1
+            continue
+        if xa.fuot.uo >= params.beta and len(xa.pattern) >= params.minlen:
+            results.append(HUOPResult(pattern=xa.pattern, sup=xa.fuot.sup, uo=xa.fuot.uo))
+        bound = length_upper_bound(xa.uonl, min_sc)
+        if bound_log is not None:
+            bound_log.append((xa.pattern, bound))
+        if bound < params.beta:
+            stats.lub_prunes += 1
+            continue
+        sub_exten: list[PatternNode] = []
+        for xb in exten[pos + 1 :]:
+            stats.constructions += 1
+            # None exactly when the join is infrequent, so every node is kept.
+            node = construct(prefix, xa, xb, min_sc)
+            if node is None:
+                stats.early_aborts += 1
+            else:
+                sub_exten.append(node)
+        # Enter the subtree only while joined patterns can stay within maxlen.
+        if len(xa.pattern) + 1 <= params.maxlen:
+            search_subtree(xa, sub_exten, params, min_sc, results, stats, bound_log)
 
 
 def _result_sort_key(rdb_rank):
@@ -153,16 +126,13 @@ def mine(
     params: MiningParams,
     threads: int = 1,
     bound_log: list[tuple[Pattern, float]] | None = None,
-    tighten_luo: bool = False,
 ) -> tuple[list[HUOPResult], SearchStats]:
     """Mine all qualifying patterns of ``db`` under ``params``.
 
     Returns the results sorted by length, then by position in the mining
-    order, plus the run's counters.  ``threads`` > 1 distributes the
-    first-level subtrees over a thread pool; output is identical either
-    way.  ``tighten_luo`` switches on the experimental trimming of
-    inherited ``luo`` lists (off by default, and off for every documented
-    result in this repository).
+    order, plus the run's counters.  ``threads`` is accepted for
+    compatibility and has no effect: the walk is serial, because a
+    thread pool over the first tree level was measured no faster.
     """
     start = time.perf_counter()
     counts = support_counts(db)
@@ -173,29 +143,7 @@ def mine(
 
     stats = SearchStats()
     results: list[HUOPResult] = []
-    trim_to = params.maxlen if tighten_luo else None
-
-    if params.maxlen >= 1:
-        if threads <= 1 or len(nodes) <= 1:
-            search_subtree(None, nodes, params, db.size, results, stats, bound_log, trim_to)
-        else:
-            def work(pos: int):
-                local_results: list[HUOPResult] = []
-                local_stats = SearchStats()
-                local_log: list[tuple[Pattern, float]] | None = (
-                    [] if bound_log is not None else None
-                )
-                _process_node(
-                    None, nodes, pos, params, min_sc, local_results, local_stats, local_log, trim_to
-                )
-                return local_results, local_stats, local_log
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for local_results, local_stats, local_log in pool.map(work, range(len(nodes))):
-                    results.extend(local_results)
-                    stats.merge(local_stats)
-                    if bound_log is not None and local_log:
-                        bound_log.extend(local_log)
+    search_subtree(None, nodes, params, min_sc, results, stats, bound_log)
 
     results.sort(key=_result_sort_key(order.rank))
     stats.runtime_ms = int((time.perf_counter() - start) * 1000)

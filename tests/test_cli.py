@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,11 +264,14 @@ def test_threads_do_not_change_output(dataset, tmp_path):
 def test_module_entrypoint(dataset, tmp_path):
     tx, profit = dataset
     out = tmp_path / "m.txt"
+    # the child must import the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "huopminer", "mine", "--input", str(tx), "--format", "qty",
          "--profit", str(profit), "--minsup", "0.3", "--minuo", "0.3",
          "--maxlen", "3", "--output", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == ""

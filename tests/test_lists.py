@@ -103,16 +103,6 @@ def test_construct_missing_prefix_tuple_is_an_error():
         construct(prefix, xa, xb, 1)
 
 
-def test_construct_trim_to_cuts_inherited_room(nodes):
-    joined = construct(None, nodes["c"], nodes["a"], 3, trim_to=3)
-    assert joined is not None
-    for t in joined.uonl.tuples:
-        assert len(t.luo) <= 3 - len(joined.pattern)
-    # trimming keeps the largest shares, so it can only reduce the summary
-    untrimmed = construct(None, nodes["c"], nodes["a"], 3)
-    assert joined.fuot.rruo <= untrimmed.fuot.rruo + 1e-12
-
-
 def _supporting_tids(db, pattern):
     return [tx.tid for tx in db.transactions if all(i in tx.entries for i in pattern)]
 
@@ -154,5 +144,36 @@ def test_joins_agree_with_direct_scans(db, maxlen):
                     assert joined.fuot.sup <= min(xa.fuot.sup, xb.fuot.sup)
                     sub.append(joined)
             walk(xa, sub, depth_left - 1)
+
+    walk(None, list(nodes), maxlen - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_databases(), st.integers(2, 4))
+def test_construct_returns_none_exactly_when_union_is_infrequent(db, maxlen):
+    # for every threshold k at which xa is frequent, the join comes back
+    # empty if and only if the union's true support is below k, and a
+    # node it returns carries that support; the search relies on this to
+    # keep every node construct returns
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    nodes = build_initial_nodes(rdb, maxlen)
+
+    def walk(prefix, exten, depth_left):
+        for pos, xa in enumerate(exten):
+            sub = []
+            for xb in exten[pos + 1 :]:
+                union = xa.pattern + (xb.pattern[-1],)
+                true_sup = len(_supporting_tids(db, union))
+                for k in range(1, xa.fuot.sup + 1):
+                    joined = construct(prefix, xa, xb, k)
+                    if true_sup < k:
+                        assert joined is None
+                    else:
+                        assert joined is not None
+                        assert joined.fuot.sup == true_sup
+                if true_sup >= 1:
+                    sub.append(construct(prefix, xa, xb, 1))
+            if depth_left > 0:
+                walk(xa, sub, depth_left - 1)
 
     walk(None, list(nodes), maxlen - 1)

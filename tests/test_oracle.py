@@ -5,7 +5,7 @@ import pytest
 from helpers import GOLDEN_18, ids_of, results_by_label
 from huopminer import MiningParams, build_database
 from huopminer.errors import OracleGuardError
-from huopminer.oracle import OracleConfig, brute_force_mine, enumerate_supported
+from huopminer.oracle import brute_force_mine, enumerate_supported
 
 
 def test_golden_answers(sample_db):
@@ -77,9 +77,3 @@ def test_guard_refuses_wide_vocabularies():
     # explicit override runs anyway
     assert len(enumerate_supported(db, 1, max_items=30)) == 26
 
-
-def test_oracle_config_validation():
-    params = MiningParams(0.3, 0.3, 1, 3)
-    OracleConfig(max_enum_len=3, params=params)
-    with pytest.raises(ValueError):
-        OracleConfig(max_enum_len=2, params=params)
