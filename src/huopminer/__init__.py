@@ -24,7 +24,7 @@ from .io import (
     write_spmf_utility,
     write_stats_csv,
 )
-from .lists import FUOTable, PatternNode, UONList, UOTuple, build_initial_nodes, construct
+from .lists import PatternNode, UOTuple, build_initial_nodes, construct
 from .oracle import brute_force_mine, enumerate_supported
 from .search import (
     HUOPResult,
@@ -37,7 +37,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FUOTable",
     "GeneratorSpec",
     "HUOPResult",
     "MiningParams",
@@ -48,7 +47,6 @@ __all__ = [
     "TotalOrder",
     "Transaction",
     "TransactionDatabase",
-    "UONList",
     "UOTuple",
     "brute_force_mine",
     "build_database",

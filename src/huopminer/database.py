@@ -156,8 +156,8 @@ def build_database(
 
     Labels are coerced to strings and mapped to dense ids in ascending
     label order.  Quantities must be positive; tids must be positive and
-    strictly increasing; every observed item needs a positive unit
-    utility.
+    strictly increasing; every observed item needs a positive, finite
+    unit utility; every transaction utility must be finite.
     """
     rows = [(tid, {str(k): v for k, v in entries.items()}) for tid, entries in rows]
     util = {str(k): v for k, v in utilities.items()}
@@ -171,7 +171,7 @@ def build_database(
             raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
         last_tid = tid
         for label, qty in entries.items():
-            if qty <= 0:
+            if not qty > 0:  # also rejects nan
                 raise InvalidDatabaseError(
                     f"quantity for item {label!r} in transaction {tid} must be positive, got {qty!r}"
                 )
@@ -181,9 +181,9 @@ def build_database(
     for label in labels:
         if label not in util:
             raise MissingUtilityError(label)
-        if util[label] <= 0:
+        if not 0 < util[label] < math.inf:
             raise InvalidDatabaseError(
-                f"unit utility for item {label!r} must be positive, got {util[label]!r}"
+                f"unit utility for item {label!r} must be positive and finite, got {util[label]!r}"
             )
 
     ids = {label: i for i, label in enumerate(labels)}
@@ -192,6 +192,8 @@ def build_database(
     transactions = []
     for tid, entries in rows:
         tu = compute_tu(entries, util)
+        if tu == math.inf:
+            raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
         transactions.append(
             Transaction(tid=tid, entries={ids[k]: v for k, v in entries.items()}, tu=tu)
         )

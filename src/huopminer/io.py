@@ -22,6 +22,7 @@ Transaction ids are assigned 1-based in file order.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,8 +60,8 @@ def parse_spmf_utility(source) -> TransactionDatabase:
     """Parse utility-list lines into a database.
 
     Rejects malformed lines, duplicate items within a line, non-positive
-    utilities, and lines whose declared TU strays from the sum of the
-    per-item utilities by more than ``TU_TOLERANCE``.
+    or non-finite utilities, and lines whose declared TU is not within
+    ``TU_TOLERANCE`` of the sum of the per-item utilities.
     """
     lines = _open_lines(source)
     rows = []
@@ -92,11 +93,12 @@ def parse_spmf_utility(source) -> TransactionDatabase:
                 value = float(text)
             except ValueError:
                 raise DatasetFormatError(f"bad utility value {text!r}", no) from None
-            if value <= 0:
-                raise DatasetFormatError(f"utility for item {token!r} must be positive", no)
+            if not 0 < value < math.inf:
+                raise DatasetFormatError(f"utility for item {token!r} must be positive and finite", no)
             entries[token] = value
             total += value
-        if abs(total - tu) > TU_TOLERANCE:
+        # written so that a nan or infinite TU fails the check too
+        if not abs(total - tu) <= TU_TOLERANCE:
             raise DatasetConsistencyError(
                 f"declared TU {tu} but utilities sum to {total}", no
             )
@@ -122,8 +124,8 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             eu = float(text)
         except ValueError:
             raise DatasetFormatError(f"bad unit utility {text!r}", no) from None
-        if eu <= 0:
-            raise DatasetFormatError(f"unit utility for item {label!r} must be positive", no)
+        if not 0 < eu < math.inf:
+            raise DatasetFormatError(f"unit utility for item {label!r} must be positive and finite", no)
         utilities[label] = eu
 
     tx_lines = _open_lines(tx_source)

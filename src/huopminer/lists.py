@@ -1,15 +1,16 @@
-"""Compact per-pattern structures:  occupancy lists and their summaries.
+"""Per-pattern nodes: the occupancy list and the summary derived from it.
 
 Each pattern carries one tuple per supporting transaction holding the
 pattern's utility share there (``uo``) plus the capped list of the
-largest shares still available after it (``luo``).  A summary table keeps
-the support count and the means of ``uo`` and of ``sum(luo)`` so the
-search can gate and bound patterns without touching the database again.
+largest shares still available after it (``luo``).  A pattern's node
+holds that list and derives from it the support count and the means of
+``uo`` and of ``sum(luo)``, so the search can gate and bound patterns
+without touching the database again.
 
 Two ways to build them:
 
 * :func:`build_initial_nodes` scans the revised database once and builds
-  the single-item structures.
+  the single-item nodes.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order) by merging their tuple
   lists on transaction id.  Joined tuples inherit ``luo`` from the
@@ -26,14 +27,13 @@ only if the joined pattern would be infrequent.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .database import Pattern, RevisedDatabase
 from .errors import PrefixTupleMissingError
 
 
-@dataclass(frozen=True)
-class UOTuple:
+class UOTuple(NamedTuple):
     """Per-transaction entry: utility share of the pattern and the capped
     descending list of shares still available after it."""
 
@@ -42,41 +42,33 @@ class UOTuple:
     luo: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class UONList:
-    """All per-transaction entries of one pattern, ascending tid."""
-
-    pattern: Pattern
-    tuples: tuple[UOTuple, ...]
-
-
-@dataclass(frozen=True)
-class FUOTable:
-    """Summary of a list: support count, mean ``uo``, mean ``sum(luo)``."""
-
-    sup: int
-    uo: float
-    rruo: float
-
-
-@dataclass(frozen=True)
 class PatternNode:
-    """A pattern with its list and summary, as handled by the search."""
+    """A pattern with its tuples (ascending tid) and the summary derived
+    from them: support count ``sup`` and mean ``uo``.  The paper's
+    UO-nlist and FUO-table of the pattern are both this one node."""
 
-    uonl: UONList
-    fuot: FUOTable
+    __slots__ = ("pattern", "tuples", "sup", "uo")
+
+    def __init__(self, pattern: Pattern, tuples: Sequence[UOTuple]) -> None:
+        self.pattern = pattern
+        self.tuples = tuple(tuples)
+        self.sup = len(self.tuples)
+        self.uo = sum(t.uo for t in self.tuples) / self.sup
 
     @property
-    def pattern(self) -> Pattern:
-        return self.uonl.pattern
+    def rruo(self) -> float:
+        """Mean ``sum(luo)``: the remaining occupancy under the length cap."""
+        return sum(sum(t.luo) for t in self.tuples) / self.sup
 
+    @property
+    def uonl(self) -> PatternNode:
+        """The UO-nlist view: ``pattern`` and ``tuples``."""
+        return self
 
-def _make_node(pattern: Pattern, tuples: list[UOTuple], uo_sum: float, rruo_sum: float) -> PatternNode:
-    sup = len(tuples)
-    return PatternNode(
-        uonl=UONList(pattern=pattern, tuples=tuple(tuples)),
-        fuot=FUOTable(sup=sup, uo=uo_sum / sup, rruo=rruo_sum / sup),
-    )
+    @property
+    def fuot(self) -> PatternNode:
+        """The FUO-table view: ``sup``, ``uo`` and ``rruo``."""
+        return self
 
 
 def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode, ...]:
@@ -86,8 +78,6 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     shares among the items after it in the same transaction.
     """
     tuples: dict[int, list[UOTuple]] = {item: [] for item in rdb.order.items}
-    uo_sums = {item: 0.0 for item in rdb.order.items}
-    rruo_sums = {item: 0.0 for item in rdb.order.items}
     slots = maxlen - 1
 
     table = rdb.utility_table
@@ -99,14 +89,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
                 luo = tuple(heapq.nlargest(slots, shares[pos + 1 :]))
             else:
                 luo = ()
-            tuples[item].append(UOTuple(tid=tx.tid, uo=shares[pos], luo=luo))
-            uo_sums[item] += shares[pos]
-            rruo_sums[item] += sum(luo)
+            tuples[item].append(UOTuple(tx.tid, shares[pos], luo))
 
-    return tuple(
-        _make_node((item,), tuples[item], uo_sums[item], rruo_sums[item])
-        for item in rdb.order.items
-    )
+    return tuple(PatternNode((item,), tuples[item]) for item in rdb.order.items)
 
 
 def construct(
@@ -122,15 +107,12 @@ def construct(
     support cannot reach ``min_sup_count``; this is the only way a join
     can come back empty.
     """
-    pattern = xa.pattern + (xb.pattern[-1],)
-    a_tuples = xa.uonl.tuples
-    b_tuples = xb.uonl.tuples
-    p_tuples = prefix.uonl.tuples if prefix is not None else None
+    a_tuples = xa.tuples
+    b_tuples = xb.tuples
+    p_tuples = prefix.tuples if prefix is not None else None
 
-    sup_ub = xa.fuot.sup
+    sup_ub = xa.sup
     out: list[UOTuple] = []
-    uo_sum = 0.0
-    rruo_sum = 0.0
     ib = 0
     ip = 0
 
@@ -149,13 +131,11 @@ def construct(
                         f"prefix {prefix.pattern} has no entry for transaction {ea.tid}"
                     )
                 uo = ea.uo + eb.uo - p_tuples[ip].uo
-            out.append(UOTuple(tid=ea.tid, uo=uo, luo=eb.luo))
-            uo_sum += uo
-            rruo_sum += sum(eb.luo)
+            out.append(UOTuple(ea.tid, uo, eb.luo))
             ib += 1
         else:
             sup_ub -= 1
             if sup_ub < min_sup_count:
                 return None
 
-    return _make_node(pattern, out, uo_sum, rruo_sum)
+    return PatternNode(xa.pattern + (xb.pattern[-1],), out)

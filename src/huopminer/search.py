@@ -1,11 +1,12 @@
 """Depth-first pattern search with support gating and a length-aware bound.
 
 The search walks the set-enumeration tree induced by the mining order.
-At every node it reads the summary table: infrequent nodes stop the walk
-outright (support is anti-monotone), qualifying nodes are reported, and a
-node's subtree is explored only when :func:`length_upper_bound` says some
-extension could still reach the occupancy threshold.  Occupancy itself is
-never used to prune, it is not anti-monotone.
+At every node it reads the node's support count and mean occupancy:
+infrequent nodes stop the walk outright (support is anti-monotone),
+qualifying nodes are reported, and a node's subtree is explored only
+when :func:`length_upper_bound` says some extension could still reach
+the occupancy threshold.  Occupancy itself is never used to prune, it
+is not anti-monotone.
 
 ``maxlen`` is enforced purely by the recursion depth guard (a subtree is
 entered only while its patterns can stay within the cap) together with
@@ -28,7 +29,7 @@ from .database import (
     revise_database,
     support_counts,
 )
-from .lists import PatternNode, UONList, build_initial_nodes, construct
+from .lists import PatternNode, build_initial_nodes, construct
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,9 @@ class HUOPResult:
 class SearchStats:
     """Counters describing one mining run.
 
-    ``visited_nodes`` counts every node whose summary table the search
-    reads, the initial single items included.  ``constructions`` counts
-    join attempts, ``early_aborts`` the joins that bailed out on the
+    ``visited_nodes`` counts every node whose summary the search reads,
+    the initial single items included.  ``constructions`` counts join
+    attempts, ``early_aborts`` the joins that bailed out on the
     support bound, ``lub_prunes`` the subtrees cut by the length-aware
     bound and ``support_prunes`` the nodes dropped by the support gate.
     """
@@ -59,7 +60,7 @@ class SearchStats:
     runtime_ms: int = 0
 
 
-def length_upper_bound(uonl: UONList, min_sup_count: int) -> float:
+def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
     """Upper bound on the mean occupancy of any extension reachable from
     this node under the length cap its ``luo`` lists were built for.
 
@@ -69,7 +70,7 @@ def length_upper_bound(uonl: UONList, min_sup_count: int) -> float:
     transactions, so the mean of the ``min_sup_count`` largest such
     values bounds its occupancy.
     """
-    values = sorted((t.uo + sum(t.luo) for t in uonl.tuples), reverse=True)
+    values = sorted((t.uo + sum(t.luo) for t in node.tuples), reverse=True)
     return sum(values[:min_sup_count]) / min_sup_count
 
 
@@ -89,12 +90,12 @@ def search_subtree(
     """
     for pos, xa in enumerate(exten):
         stats.visited_nodes += 1
-        if xa.fuot.sup < min_sc:
+        if xa.sup < min_sc:
             stats.support_prunes += 1
             continue
-        if xa.fuot.uo >= params.beta and len(xa.pattern) >= params.minlen:
-            results.append(HUOPResult(pattern=xa.pattern, sup=xa.fuot.sup, uo=xa.fuot.uo))
-        bound = length_upper_bound(xa.uonl, min_sc)
+        if xa.uo >= params.beta and len(xa.pattern) >= params.minlen:
+            results.append(HUOPResult(pattern=xa.pattern, sup=xa.sup, uo=xa.uo))
+        bound = length_upper_bound(xa, min_sc)
         if bound_log is not None:
             bound_log.append((xa.pattern, bound))
         if bound < params.beta:

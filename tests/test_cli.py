@@ -185,6 +185,28 @@ def test_malformed_dataset(tmp_path, dataset, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt, tx_text, profit_text",
+    [
+        ("spmf", "1 2:10:4 nan\n", None),
+        ("spmf", "1 2:10:4 inf\n", None),
+        ("qty", SAMPLE_QTY, SAMPLE_PROFIT.replace("a 3", "a nan")),
+        ("qty", SAMPLE_QTY, SAMPLE_PROFIT.replace("a 3", "a inf")),
+    ],
+    ids=["spmf-nan", "spmf-inf", "profit-nan", "profit-inf"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, fmt, tx_text, profit_text):
+    tx = tmp_path / "input.txt"
+    tx.write_text(tx_text)
+    args = ["mine", "--input", str(tx), "--format", fmt, "--minsup", "0.3", "--minuo", "0.3"]
+    if profit_text is not None:
+        profit = tmp_path / "input.profit"
+        profit.write_text(profit_text)
+        args += ["--profit", str(profit)]
+    assert cli.main(args) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_bench_minuo_sweep(dataset, capsys):
     code = cli.main([
         "bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3"),

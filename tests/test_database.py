@@ -1,5 +1,7 @@
 """Database model: tu computation, support counts, ordering, revision."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -170,6 +172,14 @@ def test_build_database_rejects_bad_rows():
         build_database([(1, {"a": 1, "b": 2})], {"a": 1})
     with pytest.raises(InvalidDatabaseError):
         build_database([(1, {"a": 1})], {"a": 0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidDatabaseError):
+            build_database([(1, {"a": bad})], {"a": 1})
+        with pytest.raises(InvalidDatabaseError):
+            build_database([(1, {"a": 1})], {"a": bad})
+    # finite inputs whose transaction utility overflows a float
+    with pytest.raises(InvalidDatabaseError):
+        build_database([(1, {"a": 1e308})], {"a": 10})
 
 
 def test_item_id_roundtrip(sample_db):

@@ -94,7 +94,7 @@ def test_parse_quantity_profit_rejects_bad_pairs(line):
 
 
 def test_parse_quantity_profit_rejects_bad_profits():
-    for text in ["a", "a 0", "a -2", "a x", "a 1\na 2"]:
+    for text in ["a", "a 0", "a -2", "a x", "a 1\na 2", "a nan", "a inf"]:
         with pytest.raises(DatasetFormatError):
             parse_quantity_profit(stdio.StringIO("a:1\n"), stdio.StringIO(text + "\n"))
 
@@ -141,6 +141,9 @@ def test_spmf_and_qty_encodings_mine_identically():
         "1 2:10:4 x",  # bad utility
         "1 2:10:4 0",  # non-positive utility
         ":10:",  # no items
+        "1 2:10:4 nan",  # nan utility, which the TU check alone let through
+        "1 2:nan:4 6",  # nan tu
+        "1 2:inf:4 inf",  # infinite tu and utility
     ],
 )
 def test_parse_spmf_rejects_malformed(line):

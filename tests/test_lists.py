@@ -14,8 +14,13 @@ from huopminer import (
     support_counts,
 )
 from huopminer.errors import PrefixTupleMissingError
-from huopminer.lists import FUOTable, PatternNode, UONList, UOTuple
-from huopminer.measures import uo_in_transaction, uo_of_pattern
+from huopminer.lists import PatternNode, UOTuple
+from huopminer.measures import (
+    luo_in_transaction,
+    rruo_in_transaction,
+    uo_in_transaction,
+    uo_of_pattern,
+)
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +88,9 @@ def test_construct_two_items(sample_db, nodes):
 
 
 def test_construct_aborts_on_disjoint_tids():
-    t = lambda tid: UOTuple(tid=tid, uo=0.5, luo=())
-    xa = PatternNode(UONList((0,), (t(1), t(2))), FUOTable(2, 0.5, 0.0))
-    xb = PatternNode(UONList((1,), (t(3), t(4))), FUOTable(2, 0.5, 0.0))
+    t = lambda tid: UOTuple(tid, 0.5, ())
+    xa = PatternNode((0,), (t(1), t(2)))
+    xb = PatternNode((1,), (t(3), t(4)))
     assert construct(None, xa, xb, 1) is None
 
 
@@ -95,10 +100,10 @@ def test_construct_aborts_when_support_cannot_reach_threshold(nodes):
 
 
 def test_construct_missing_prefix_tuple_is_an_error():
-    t = lambda tid, uo: UOTuple(tid=tid, uo=uo, luo=())
-    prefix = PatternNode(UONList((0,), (t(1, 0.2),)), FUOTable(1, 0.2, 0.0))
-    xa = PatternNode(UONList((0, 1), (t(1, 0.4), t(2, 0.4))), FUOTable(2, 0.4, 0.0))
-    xb = PatternNode(UONList((0, 2), (t(2, 0.3),)), FUOTable(1, 0.3, 0.0))
+    t = lambda tid, uo: UOTuple(tid, uo, ())
+    prefix = PatternNode((0,), (t(1, 0.2),))
+    xa = PatternNode((0, 1), (t(1, 0.4), t(2, 0.4)))
+    xb = PatternNode((0, 2), (t(2, 0.3),))
     with pytest.raises(PrefixTupleMissingError):
         construct(prefix, xa, xb, 1)
 
@@ -107,17 +112,25 @@ def _supporting_tids(db, pattern):
     return [tx.tid for tx in db.transactions if all(i in tx.entries for i in pattern)]
 
 
-def _check_node(db, rdb, node):
+def _check_node(db, rdb, maxlen, node):
     assert [t.tid for t in node.uonl.tuples] == _supporting_tids(db, node.pattern)
     assert node.fuot.sup == len(node.uonl.tuples)
     by_tid = {tx.tid: tx for tx in rdb.transactions}
+    # joined tuples inherit luo from the last item's single-item list,
+    # which is what makes the length-aware bound sound at every depth
+    last = node.pattern[-1:]
+    rruo_total = 0.0
     for t in node.uonl.tuples:
+        tx = by_tid[t.tid]
         assert t.uo == pytest.approx(
-            uo_in_transaction(node.pattern, by_tid[t.tid], db.utility_table), abs=1e-9
+            uo_in_transaction(node.pattern, tx, db.utility_table), abs=1e-9
         )
         assert t.uo + sum(t.luo) <= 1.0 + 1e-9
         assert list(t.luo) == sorted(t.luo, reverse=True)
+        assert t.luo == pytest.approx(luo_in_transaction(last, tx, rdb, maxlen), abs=1e-12)
+        rruo_total += rruo_in_transaction(last, tx, rdb, maxlen)
     assert node.fuot.uo == pytest.approx(uo_of_pattern(node.pattern, db), abs=1e-9)
+    assert node.fuot.rruo == pytest.approx(rruo_total / node.fuot.sup, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,7 +141,7 @@ def test_joins_agree_with_direct_scans(db, maxlen):
 
     def walk(prefix, exten, depth_left):
         for pos, xa in enumerate(exten):
-            _check_node(db, rdb, xa)
+            _check_node(db, rdb, maxlen, xa)
             if depth_left == 0:
                 continue
             sub = []

@@ -1,4 +1,4 @@
-"""Search engine: bounds, golden results, length window, stats, threading."""
+"""Search engine: bounds, golden results, length window, stats."""
 
 import pytest
 from hypothesis import given, settings
