@@ -191,7 +191,10 @@ def build_database(
 
     transactions = []
     for tid, entries in rows:
-        tu = compute_tu(entries, util)
+        try:
+            tu = compute_tu(entries, util)
+        except OverflowError:  # an int quantity beyond the float range
+            tu = math.inf
         if tu == math.inf:
             raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
         transactions.append(

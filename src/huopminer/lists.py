@@ -17,11 +17,12 @@ Two ways to build them:
   later sibling unchanged; shares add up as
   ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``.
 
-The join keeps a running upper bound on the support of the result (the
-tuples of the first operand not yet ruled out) and gives up as soon as
-that bound sinks below the support threshold, returning ``None``.  The
-bound is exact at the end of the scan, so ``None`` is returned if and
-only if the joined pattern would be infrequent.
+Every node also carries ``bits``, the set of transactions it occurs in
+as an int bitmask.  A join intersects the operands' masks first and
+counts the bits: that is the union's exact support, so an infrequent
+join returns ``None`` without touching a tuple, and a kept join merges
+only to gather the matching tuples.  ``None`` is returned if and only if
+the joined pattern would be infrequent.
 """
 
 from __future__ import annotations
@@ -45,15 +46,28 @@ class UOTuple(NamedTuple):
 class PatternNode:
     """A pattern with its tuples (ascending tid) and the summary derived
     from them: support count ``sup`` and mean ``uo``.  The paper's
-    UO-nlist and FUO-table of the pattern are both this one node."""
+    UO-nlist and FUO-table of the pattern are both this one node.
 
-    __slots__ = ("pattern", "tuples", "sup", "uo")
+    ``bits`` has bit ``k`` set when the pattern occurs in transaction
+    ``k`` of one numbering that every node of a search shares:
+    :func:`build_initial_nodes` numbers transactions by their index in
+    the revised database, so a mask takes one bit per transaction
+    whatever the tids are.  Left out, ``bits`` is derived from the tids
+    (bit ``tid``), which suits nodes built by hand from small tids.
+    """
 
-    def __init__(self, pattern: Pattern, tuples: Sequence[UOTuple]) -> None:
+    __slots__ = ("pattern", "tuples", "sup", "uo", "bits")
+
+    def __init__(
+        self, pattern: Pattern, tuples: Sequence[UOTuple], bits: int | None = None
+    ) -> None:
         self.pattern = pattern
         self.tuples = tuple(tuples)
         self.sup = len(self.tuples)
         self.uo = sum(t.uo for t in self.tuples) / self.sup
+        if bits is None:
+            bits = sum(1 << t.tid for t in self.tuples)
+        self.bits = bits
 
     @property
     def rruo(self) -> float:
@@ -75,13 +89,17 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     """Build the single-item nodes in one pass, returned in mining order.
 
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
-    shares among the items after it in the same transaction.
+    shares among the items after it in the same transaction.  Its
+    ``bits`` mark its positions in ``rdb.transactions``, gathered during
+    the scan in a bytearray holding one bit per transaction.
     """
     tuples: dict[int, list[UOTuple]] = {item: [] for item in rdb.order.items}
+    masks = {item: bytearray((len(rdb.transactions) + 7) // 8) for item in rdb.order.items}
     slots = maxlen - 1
 
     table = rdb.utility_table
-    for tx in rdb.transactions:
+    for k, tx in enumerate(rdb.transactions):
+        byte, bit = k >> 3, 1 << (k & 7)
         items = list(tx.entries)
         shares = [tx.entries[i] * table[i] / tx.tu for i in items]
         for pos, item in enumerate(items):
@@ -90,8 +108,12 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
             else:
                 luo = ()
             tuples[item].append(UOTuple(tx.tid, shares[pos], luo))
+            masks[item][byte] |= bit
 
-    return tuple(PatternNode((item,), tuples[item]) for item in rdb.order.items)
+    return tuple(
+        PatternNode((item,), tuples[item], int.from_bytes(masks[item], "little"))
+        for item in rdb.order.items
+    )
 
 
 def construct(
@@ -103,39 +125,44 @@ def construct(
     """Join sibling nodes ``xa`` and ``xb`` into their union pattern.
 
     ``prefix`` is the shared prefix node (``None`` when the siblings are
-    single items).  Returns ``None`` when the scan proves the union's
-    support cannot reach ``min_sup_count``; this is the only way a join
-    can come back empty.
+    single items).  Returns ``None`` when the union's support, counted
+    from the intersected masks, is below ``min_sup_count``; this is the
+    only way a join can come back empty.
     """
-    a_tuples = xa.tuples
-    b_tuples = xb.tuples
-    p_tuples = prefix.tuples if prefix is not None else None
+    bits = xa.bits & xb.bits
+    sup = bits.bit_count()
+    if sup < min_sup_count:
+        return None
 
-    sup_ub = xa.sup
+    b_tuples = xb.tuples
+    p_tuples = prefix.tuples if prefix is not None else ()
+    n_p = len(p_tuples)
     out: list[UOTuple] = []
     ib = 0
     ip = 0
 
-    for ea in a_tuples:
-        while ib < len(b_tuples) and b_tuples[ib].tid < ea.tid:
+    # The masks promise ``sup`` shared tids, so ``xb`` holds a tid at
+    # least as large as the current one until the last of them is found.
+    for tid, uo, _ in xa.tuples:
+        eb = b_tuples[ib]
+        while eb.tid < tid:
             ib += 1
-        if ib < len(b_tuples) and b_tuples[ib].tid == ea.tid:
             eb = b_tuples[ib]
-            if p_tuples is None:
-                uo = ea.uo + eb.uo
-            else:
-                while ip < len(p_tuples) and p_tuples[ip].tid < ea.tid:
-                    ip += 1
-                if ip == len(p_tuples) or p_tuples[ip].tid != ea.tid:
-                    raise PrefixTupleMissingError(
-                        f"prefix {prefix.pattern} has no entry for transaction {ea.tid}"
-                    )
-                uo = ea.uo + eb.uo - p_tuples[ip].uo
-            out.append(UOTuple(ea.tid, uo, eb.luo))
-            ib += 1
+        if eb.tid != tid:
+            continue
+        if prefix is None:
+            uo = uo + eb.uo
         else:
-            sup_ub -= 1
-            if sup_ub < min_sup_count:
-                return None
+            while ip < n_p and p_tuples[ip].tid < tid:
+                ip += 1
+            if ip == n_p or p_tuples[ip].tid != tid:
+                raise PrefixTupleMissingError(
+                    f"prefix {prefix.pattern} has no entry for transaction {tid}"
+                )
+            uo = uo + eb.uo - p_tuples[ip].uo
+        out.append(UOTuple(tid, uo, eb.luo))
+        if len(out) == sup:
+            break
+        ib += 1
 
-    return PatternNode(xa.pattern + (xb.pattern[-1],), out)
+    return PatternNode(xa.pattern + (xb.pattern[-1],), out, bits)

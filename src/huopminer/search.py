@@ -47,8 +47,8 @@ class SearchStats:
 
     ``visited_nodes`` counts every node whose summary the search reads,
     the initial single items included.  ``constructions`` counts join
-    attempts, ``early_aborts`` the joins that bailed out on the
-    support bound, ``lub_prunes`` the subtrees cut by the length-aware
+    attempts, ``early_aborts`` the joins found infrequent by the
+    bitmask, ``lub_prunes`` the subtrees cut by the length-aware
     bound and ``support_prunes`` the nodes dropped by the support gate.
     """
 

@@ -186,16 +186,17 @@ def test_malformed_dataset(tmp_path, dataset, capsys):
 
 
 @pytest.mark.parametrize(
-    "fmt, tx_text, profit_text",
+    "fmt, tx_text, profit_text, message",
     [
-        ("spmf", "1 2:10:4 nan\n", None),
-        ("spmf", "1 2:10:4 inf\n", None),
-        ("qty", SAMPLE_QTY, SAMPLE_PROFIT.replace("a 3", "a nan")),
-        ("qty", SAMPLE_QTY, SAMPLE_PROFIT.replace("a 3", "a inf")),
+        ("spmf", "1 2:10:4 nan\n", None, "must be positive and finite"),
+        ("spmf", "1 2:10:4 inf\n", None, "must be positive and finite"),
+        ("qty", SAMPLE_QTY, SAMPLE_PROFIT.replace("a 3", "a nan"), "must be positive and finite"),
+        ("qty", SAMPLE_QTY, SAMPLE_PROFIT.replace("a 3", "a inf"), "must be positive and finite"),
+        ("qty", f"a:1{'0' * 400} b:1\n", SAMPLE_PROFIT, "utility of transaction 1 is not finite"),
     ],
-    ids=["spmf-nan", "spmf-inf", "profit-nan", "profit-inf"],
+    ids=["spmf-nan", "spmf-inf", "profit-nan", "profit-inf", "qty-overflow"],
 )
-def test_non_finite_input_exits_2(tmp_path, capsys, fmt, tx_text, profit_text):
+def test_non_finite_input_exits_2(tmp_path, capsys, fmt, tx_text, profit_text, message):
     tx = tmp_path / "input.txt"
     tx.write_text(tx_text)
     args = ["mine", "--input", str(tx), "--format", fmt, "--minsup", "0.3", "--minuo", "0.3"]
@@ -204,7 +205,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, fmt, tx_text, profit_text):
         profit.write_text(profit_text)
         args += ["--profit", str(profit)]
     assert cli.main(args) == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_bench_minuo_sweep(dataset, capsys):

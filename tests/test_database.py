@@ -180,6 +180,9 @@ def test_build_database_rejects_bad_rows():
     # finite inputs whose transaction utility overflows a float
     with pytest.raises(InvalidDatabaseError):
         build_database([(1, {"a": 1e308})], {"a": 10})
+    # an int quantity too large to convert to a float
+    with pytest.raises(InvalidDatabaseError, match="utility of transaction 1 is not finite"):
+        build_database([(1, {"a": 10**400, "b": 1})], {"a": 1, "b": 1})
 
 
 def test_item_id_roundtrip(sample_db):

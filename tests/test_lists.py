@@ -115,6 +115,10 @@ def _supporting_tids(db, pattern):
 def _check_node(db, rdb, maxlen, node):
     assert [t.tid for t in node.uonl.tuples] == _supporting_tids(db, node.pattern)
     assert node.fuot.sup == len(node.uonl.tuples)
+    assert node.bits.bit_count() == node.fuot.sup
+    # bit k marks the k-th transaction of the revised database
+    tids = {t.tid for t in node.uonl.tuples}
+    assert node.bits == sum(1 << k for k, tx in enumerate(rdb.transactions) if tx.tid in tids)
     by_tid = {tx.tid: tx for tx in rdb.transactions}
     # joined tuples inherit luo from the last item's single-item list,
     # which is what makes the length-aware bound sound at every depth

@@ -194,6 +194,24 @@ def test_transaction_of_only_rare_items_changes_nothing():
     }
 
 
+def test_huge_sparse_tids_mine_like_the_reference():
+    # join masks are numbered by position in the database, not by tid: a
+    # mask keyed by tids this large would need terabytes
+    rows = [
+        (k * 10**12, {label: 1 + (k + j) % 4 for j, label in enumerate("abcde") if (k * j) % 3 != 1})
+        for k in range(1, 31)
+    ]
+    db = build_database(rows, {"a": 3, "b": 5, "c": 1, "d": 2, "e": 10})
+    params = MiningParams(0.2, 0.2, 1, 3)
+    got, stats = mine(db, params)
+    reference = brute_force_mine(db, params)
+    assert [(r.pattern, r.sup) for r in got] == [(r.pattern, r.sup) for r in reference]
+    for g, w in zip(got, reference):
+        assert g.uo == pytest.approx(w.uo, abs=1e-9)
+    assert max(len(r.pattern) for r in got) == 3
+    assert stats.constructions > stats.early_aborts
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_databases())
 def test_visited_nodes_monotone_in_cap(db):
