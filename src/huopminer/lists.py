@@ -1,34 +1,41 @@
-"""Per-pattern nodes: the occupancy list and the summary derived from it.
+"""Per-pattern nodes: columnar occupancy storage and the summary derived
+from it.
 
-Each pattern carries one tuple per supporting transaction holding the
-pattern's utility share there (``uo``) plus the capped list of the
-largest shares still available after it (``luo``).  A pattern's node
-holds that list and derives from it the support count and the means of
-``uo`` and of ``sum(luo)``, so the search can gate and bound patterns
-without touching the database again.
+For each supporting transaction a pattern has a utility share there
+(``uo``) plus the capped list of the largest shares still available
+after it (``luo``).  A node stores these as columns keyed by transaction
+id rather than as one record per transaction: ``uo_at`` maps each tid
+to the pattern's own ``uo``, ``luo_at`` maps tids to the ``luo`` of the
+pattern's last item and ``rruo_at`` to its ``sum(luo)``, summed once
+when the single-item nodes are built.  The node derives from them the
+support count and the means of ``uo`` and of ``sum(luo)``, so the search
+can gate and bound patterns without touching the database again.
 
 Two ways to build them:
 
 * :func:`build_initial_nodes` scans the revised database once and builds
   the single-item nodes.
 * :func:`construct` joins two sibling patterns (same prefix, the
-  extending items adjacent in the mining order) by merging their tuple
-  lists on transaction id.  Joined tuples inherit ``luo`` from the
-  later sibling unchanged; shares add up as
-  ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``.
+  extending items adjacent in the mining order).  Shares add up as
+  ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``, one
+  dict lookup per operand and tid.  ``luo`` is inherited from the later
+  sibling unchanged, so a joined node shares that sibling's ``luo_at``
+  and ``rruo_at`` by reference: every node ending in item ``i`` reads
+  the dicts built for ``i``, which may hold more tids than the node.
 
 Every node also carries ``bits``, the set of transactions it occurs in
 as an int bitmask.  A join intersects the operands' masks first and
 counts the bits: that is the union's exact support, so an infrequent
-join returns ``None`` without touching a tuple, and a kept join merges
-only to gather the matching tuples.  ``None`` is returned if and only if
-the joined pattern would be infrequent.
+join returns ``None`` without reading a column, and a kept join builds
+its ``uo_at`` in one pass over the first operand.  ``None`` is returned
+if and only if the joined pattern would be infrequent.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import NamedTuple, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
 from .errors import PrefixTupleMissingError
@@ -44,35 +51,73 @@ class UOTuple(NamedTuple):
 
 
 class PatternNode:
-    """A pattern with its tuples (ascending tid) and the summary derived
-    from them: support count ``sup`` and mean ``uo``.  The paper's
-    UO-nlist and FUO-table of the pattern are both this one node.
+    """A pattern with its occupancy columns and the summary derived from
+    them: support count ``sup`` and mean ``uo``.  The paper's UO-nlist
+    and FUO-table of the pattern are both this one node.
+
+    ``uo_at`` maps each supporting tid, in ascending order, to the
+    pattern's share there.  ``luo_at`` maps tids to the ``luo`` of the
+    pattern's last item and ``rruo_at`` to its ``sum(luo)``; joined
+    nodes share their last item's dicts, so these may hold tids the
+    pattern does not occur in.  Only the tids of ``uo_at`` belong to the
+    node.
 
     ``bits`` has bit ``k`` set when the pattern occurs in transaction
     ``k`` of one numbering that every node of a search shares:
     :func:`build_initial_nodes` numbers transactions by their index in
     the revised database, so a mask takes one bit per transaction
-    whatever the tids are.  Left out, ``bits`` is derived from the tids
-    (bit ``tid``), which suits nodes built by hand from small tids.
+    whatever the tids are.
+
+    ``PatternNode(pattern, tuples[, bits])`` builds a node by hand from
+    ``UOTuple``s in ascending tid order; left out, ``bits`` is derived
+    from the tids (bit ``tid``), which suits small hand-made tids.
     """
 
-    __slots__ = ("pattern", "tuples", "sup", "uo", "bits")
+    __slots__ = ("pattern", "uo_at", "luo_at", "rruo_at", "sup", "uo", "bits")
 
     def __init__(
-        self, pattern: Pattern, tuples: Sequence[UOTuple], bits: int | None = None
+        self, pattern: Pattern, tuples: Iterable[UOTuple], bits: int | None = None
     ) -> None:
-        self.pattern = pattern
-        self.tuples = tuple(tuples)
-        self.sup = len(self.tuples)
-        self.uo = sum(t.uo for t in self.tuples) / self.sup
+        tuples = tuple(tuples)
+        uo_at = {t.tid: t.uo for t in tuples}
         if bits is None:
-            bits = sum(1 << t.tid for t in self.tuples)
+            bits = sum(1 << tid for tid in uo_at)
+        luo_at = {t.tid: t.luo for t in tuples}
+        rruo_at = {tid: sum(luo) for tid, luo in luo_at.items()}
+        self._fill(pattern, uo_at, luo_at, rruo_at, bits)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        pattern: Pattern,
+        uo_at: dict[int, float],
+        luo_at: dict[int, tuple[float, ...]],
+        rruo_at: dict[int, float],
+        bits: int,
+    ) -> PatternNode:
+        node = cls.__new__(cls)
+        node._fill(pattern, uo_at, luo_at, rruo_at, bits)
+        return node
+
+    def _fill(self, pattern, uo_at, luo_at, rruo_at, bits) -> None:
+        self.pattern = pattern
+        self.uo_at = uo_at
+        self.luo_at = luo_at
+        self.rruo_at = rruo_at
+        self.sup = len(uo_at)
+        self.uo = sum(uo_at.values()) / self.sup
         self.bits = bits
+
+    @property
+    def tuples(self) -> UOTupleView:
+        """The node's entries as ``UOTuple``s, ascending tid."""
+        return UOTupleView(self)
 
     @property
     def rruo(self) -> float:
         """Mean ``sum(luo)``: the remaining occupancy under the length cap."""
-        return sum(sum(t.luo) for t in self.tuples) / self.sup
+        rruo_at = self.rruo_at
+        return sum(rruo_at[tid] for tid in self.uo_at) / self.sup
 
     @property
     def uonl(self) -> PatternNode:
@@ -85,6 +130,31 @@ class PatternNode:
         return self
 
 
+class UOTupleView(Sequence):
+    """Read-only sequence of a node's ``UOTuple``s in ascending tid order.
+
+    ``len`` is the node's support, in constant time; each ``UOTuple`` is
+    built when it is read.  Indexing walks the columns, so it costs time
+    linear in the support.
+    """
+
+    __slots__ = ("_node",)
+
+    def __init__(self, node: PatternNode) -> None:
+        self._node = node
+
+    def __len__(self) -> int:
+        return self._node.sup
+
+    def __iter__(self) -> Iterator[UOTuple]:
+        luo_at = self._node.luo_at
+        for tid, uo in self._node.uo_at.items():
+            yield UOTuple(tid, uo, luo_at[tid])
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+
 def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode, ...]:
     """Build the single-item nodes in one pass, returned in mining order.
 
@@ -93,13 +163,16 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     ``bits`` mark its positions in ``rdb.transactions``, gathered during
     the scan in a bytearray holding one bit per transaction.
     """
-    tuples: dict[int, list[UOTuple]] = {item: [] for item in rdb.order.items}
+    uo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
+    luo_at: dict[int, dict[int, tuple[float, ...]]] = {item: {} for item in rdb.order.items}
+    rruo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
     masks = {item: bytearray((len(rdb.transactions) + 7) // 8) for item in rdb.order.items}
     slots = maxlen - 1
 
     table = rdb.utility_table
     for k, tx in enumerate(rdb.transactions):
         byte, bit = k >> 3, 1 << (k & 7)
+        tid = tx.tid
         items = list(tx.entries)
         shares = [tx.entries[i] * table[i] / tx.tu for i in items]
         for pos, item in enumerate(items):
@@ -107,11 +180,19 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
                 luo = tuple(heapq.nlargest(slots, shares[pos + 1 :]))
             else:
                 luo = ()
-            tuples[item].append(UOTuple(tx.tid, shares[pos], luo))
+            uo_at[item][tid] = shares[pos]
+            luo_at[item][tid] = luo
+            rruo_at[item][tid] = sum(luo)
             masks[item][byte] |= bit
 
     return tuple(
-        PatternNode((item,), tuples[item], int.from_bytes(masks[item], "little"))
+        PatternNode._from_columns(
+            (item,),
+            uo_at[item],
+            luo_at[item],
+            rruo_at[item],
+            int.from_bytes(masks[item], "little"),
+        )
         for item in rdb.order.items
     )
 
@@ -130,39 +211,21 @@ def construct(
     only way a join can come back empty.
     """
     bits = xa.bits & xb.bits
-    sup = bits.bit_count()
-    if sup < min_sup_count:
+    if bits.bit_count() < min_sup_count:
         return None
 
-    b_tuples = xb.tuples
-    p_tuples = prefix.tuples if prefix is not None else ()
-    n_p = len(p_tuples)
-    out: list[UOTuple] = []
-    ib = 0
-    ip = 0
-
-    # The masks promise ``sup`` shared tids, so ``xb`` holds a tid at
-    # least as large as the current one until the last of them is found.
-    for tid, uo, _ in xa.tuples:
-        eb = b_tuples[ib]
-        while eb.tid < tid:
-            ib += 1
-            eb = b_tuples[ib]
-        if eb.tid != tid:
-            continue
-        if prefix is None:
-            uo = uo + eb.uo
-        else:
-            while ip < n_p and p_tuples[ip].tid < tid:
-                ip += 1
-            if ip == n_p or p_tuples[ip].tid != tid:
-                raise PrefixTupleMissingError(
-                    f"prefix {prefix.pattern} has no entry for transaction {tid}"
-                )
-            uo = uo + eb.uo - p_tuples[ip].uo
-        out.append(UOTuple(tid, uo, eb.luo))
-        if len(out) == sup:
-            break
-        ib += 1
-
-    return PatternNode(xa.pattern + (xb.pattern[-1],), out, bits)
+    a = xa.uo_at
+    b = xb.uo_at
+    if prefix is None:
+        uo_at = {tid: u + b[tid] for tid, u in a.items() if tid in b}
+    else:
+        p = prefix.uo_at
+        try:
+            uo_at = {tid: u + b[tid] - p[tid] for tid, u in a.items() if tid in b}
+        except KeyError as missing:
+            raise PrefixTupleMissingError(
+                f"prefix {prefix.pattern} has no entry for transaction {missing.args[0]}"
+            ) from None
+    return PatternNode._from_columns(
+        xa.pattern + (xb.pattern[-1],), uo_at, xb.luo_at, xb.rruo_at, bits
+    )

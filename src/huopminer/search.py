@@ -70,7 +70,8 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
     transactions, so the mean of the ``min_sup_count`` largest such
     values bounds its occupancy.
     """
-    values = sorted((t.uo + sum(t.luo) for t in node.tuples), reverse=True)
+    rruo_at = node.rruo_at
+    values = sorted([uo + rruo_at[tid] for tid, uo in node.uo_at.items()], reverse=True)
     return sum(values[:min_sup_count]) / min_sup_count
 
 

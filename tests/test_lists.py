@@ -87,6 +87,25 @@ def test_construct_two_items(sample_db, nodes):
         assert t.luo == a_tuples[t.tid].luo
 
 
+def test_tuples_view_of_a_joined_node(nodes):
+    joined = construct(None, nodes["c"], nodes["a"], 3)
+    # the joined node shares a's columns, which hold more tids than it
+    assert joined.luo_at is nodes["a"].luo_at
+    assert len(joined.luo_at) > joined.sup
+    view = joined.uonl.tuples
+    assert len(view) == joined.sup == 3
+    first, second = list(view), list(view)
+    assert first == second
+    assert [t.tid for t in first] == [1, 2, 6]
+    assert view[0] == first[0] and view[-1] == first[-1] == view[2]
+    assert view[-3] == first[0]
+    with pytest.raises(IndexError):
+        view[3]
+    rebuilt = PatternNode(joined.pattern, view)
+    assert (rebuilt.sup, rebuilt.uo, rebuilt.rruo) == (joined.sup, joined.uo, joined.rruo)
+    assert list(rebuilt.uonl.tuples) == first
+
+
 def test_construct_aborts_on_disjoint_tids():
     t = lambda tid: UOTuple(tid, 0.5, ())
     xa = PatternNode((0,), (t(1), t(2)))
@@ -112,20 +131,26 @@ def _supporting_tids(db, pattern):
     return [tx.tid for tx in db.transactions if all(i in tx.entries for i in pattern)]
 
 
-def _check_node(db, rdb, maxlen, node):
-    assert [t.tid for t in node.uonl.tuples] == _supporting_tids(db, node.pattern)
-    assert node.fuot.sup == len(node.uonl.tuples)
+def _check_node(db, rdb, maxlen, singles, node):
+    tids = [t.tid for t in node.uonl.tuples]
+    assert all(x < y for x, y in zip(tids, tids[1:]))
+    assert len(node.uonl.tuples) == len(tids) == node.fuot.sup
+    # the mean is summed in tid order, so it repeats bit for bit
+    assert node.fuot.uo == sum(t.uo for t in node.uonl.tuples) / node.fuot.sup
+    assert tids == _supporting_tids(db, node.pattern)
     assert node.bits.bit_count() == node.fuot.sup
     # bit k marks the k-th transaction of the revised database
-    tids = {t.tid for t in node.uonl.tuples}
-    assert node.bits == sum(1 << k for k, tx in enumerate(rdb.transactions) if tx.tid in tids)
+    tid_set = set(tids)
+    assert node.bits == sum(1 << k for k, tx in enumerate(rdb.transactions) if tx.tid in tid_set)
     by_tid = {tx.tid: tx for tx in rdb.transactions}
     # joined tuples inherit luo from the last item's single-item list,
     # which is what makes the length-aware bound sound at every depth
     last = node.pattern[-1:]
+    last_luo = {t.tid: t.luo for t in singles[last].uonl.tuples}
     rruo_total = 0.0
     for t in node.uonl.tuples:
         tx = by_tid[t.tid]
+        assert t.luo == last_luo[t.tid]
         assert t.uo == pytest.approx(
             uo_in_transaction(node.pattern, tx, db.utility_table), abs=1e-9
         )
@@ -142,10 +167,11 @@ def _check_node(db, rdb, maxlen, node):
 def test_joins_agree_with_direct_scans(db, maxlen):
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     nodes = build_initial_nodes(rdb, maxlen)
+    singles = {n.pattern: n for n in nodes}
 
     def walk(prefix, exten, depth_left):
         for pos, xa in enumerate(exten):
-            _check_node(db, rdb, maxlen, xa)
+            _check_node(db, rdb, maxlen, singles, xa)
             if depth_left == 0:
                 continue
             sub = []
