@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     _add_mining_flags(p)
     p.add_argument("--output", help="result file (stdout when omitted)")
-    p.add_argument("--stats", help="append one stats CSV row here")
+    p.add_argument("--stats", help="write a stats CSV (header and one row) here, replacing the file")
 
     p = sub.add_parser("verify", help="compare the engine against the brute-force reference")
     _add_dataset_flags(p)

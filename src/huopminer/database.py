@@ -142,8 +142,8 @@ def compute_tu(entries: Mapping, table: Mapping) -> float:
 
 
 def _label_key(label: str) -> tuple[int, int, str]:
-    # All-digit labels compare numerically, everything else as text.
-    if label.isdigit():
+    # All-decimal labels compare numerically, everything else as text.
+    if label.isdecimal():
         return (0, int(label), label)
     return (1, 0, label)
 

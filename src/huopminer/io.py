@@ -85,7 +85,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
         entries: dict[str, float] = {}
         total = 0.0
         for token, text in zip(items, utilities):
-            if not token.isdigit():
+            if not token.isdecimal():
                 raise DatasetFormatError(f"item {token!r} is not a non-negative integer", no)
             if token in entries:
                 raise DatasetFormatError(f"duplicate item {token!r}", no)

@@ -1,18 +1,14 @@
-"""Depth-first pattern search with support gating and a length-aware bound.
+"""Depth-first pattern search with a length cap and a length-aware bound.
 
-The search walks the set-enumeration tree induced by the mining order.
-At every node it reads the node's support count and mean occupancy:
-infrequent nodes stop the walk outright (support is anti-monotone),
-qualifying nodes are reported, and a node's subtree is explored only
-when :func:`length_upper_bound` says some extension could still reach
-the occupancy threshold.  Occupancy itself is never used to prune, it
-is not anti-monotone.
-
-``maxlen`` is enforced purely by the recursion depth guard (a subtree is
-entered only while its patterns can stay within the cap) together with
-the capped ``luo`` lists, which make the bound aware of how few items a
-pattern may still absorb.  ``minlen`` only filters what is reported,
-short prefixes are always explored.
+The search walks the set-enumeration tree of the mining order on an
+explicit stack, so deep patterns do not hit the recursion limit.  Every
+node it reaches is frequent, as the initial nodes are frequent items and
+a join returns ``None`` when infrequent, and is reported if it qualifies.
+A node already ``maxlen`` long ends its branch before any bound or join.
+Below the cap a subtree is explored only when :func:`length_upper_bound`,
+built on the capped ``luo`` lists, says an extension could still reach
+the occupancy threshold.  Occupancy is not anti-monotone and never
+prunes; ``minlen`` only filters what is reported.
 """
 
 from __future__ import annotations
@@ -47,9 +43,9 @@ class SearchStats:
 
     ``visited_nodes`` counts every node whose summary the search reads,
     the initial single items included.  ``constructions`` counts join
-    attempts, ``early_aborts`` the joins found infrequent by the
-    bitmask, ``lub_prunes`` the subtrees cut by the length-aware
-    bound and ``support_prunes`` the nodes dropped by the support gate.
+    attempts below the length cap, ``early_aborts`` the joins found
+    infrequent by the bitmask and ``lub_prunes`` the subtrees cut by the
+    bound.  ``support_prunes`` is always 0; perfbench still reports it.
     """
 
     visited_nodes: int = 0
@@ -84,36 +80,40 @@ def search_subtree(
     stats: SearchStats,
     bound_log: list[tuple[Pattern, float]] | None = None,
 ) -> None:
-    """Visit each extension of ``prefix`` in mining order and recurse.
+    """Visit each extension of ``prefix`` and its subtree in mining order.
 
     ``min_sc`` is the support count threshold, taken relative to the
-    original database size at every depth.
+    original database size at every depth.  One stack frame per depth
+    keeps only the current path's extension lists alive.
     """
-    for pos, xa in enumerate(exten):
-        stats.visited_nodes += 1
-        if xa.sup < min_sc:
-            stats.support_prunes += 1
-            continue
-        if xa.uo >= params.beta and len(xa.pattern) >= params.minlen:
-            results.append(HUOPResult(pattern=xa.pattern, sup=xa.sup, uo=xa.uo))
-        bound = length_upper_bound(xa, min_sc)
-        if bound_log is not None:
-            bound_log.append((xa.pattern, bound))
-        if bound < params.beta:
-            stats.lub_prunes += 1
-            continue
-        sub_exten: list[PatternNode] = []
-        for xb in exten[pos + 1 :]:
-            stats.constructions += 1
-            # None exactly when the join is infrequent, so every node is kept.
-            node = construct(prefix, xa, xb, min_sc)
-            if node is None:
-                stats.early_aborts += 1
-            else:
-                sub_exten.append(node)
-        # Enter the subtree only while joined patterns can stay within maxlen.
-        if len(xa.pattern) + 1 <= params.maxlen:
-            search_subtree(xa, sub_exten, params, min_sc, results, stats, bound_log)
+    stack = [(prefix, exten, enumerate(exten))]
+    while stack:
+        prefix, exten, siblings = stack[-1]
+        for pos, xa in siblings:
+            stats.visited_nodes += 1
+            if xa.uo >= params.beta and len(xa.pattern) >= params.minlen:
+                results.append(HUOPResult(pattern=xa.pattern, sup=xa.sup, uo=xa.uo))
+            if len(xa.pattern) == params.maxlen:
+                continue
+            bound = length_upper_bound(xa, min_sc)
+            if bound_log is not None:
+                bound_log.append((xa.pattern, bound))
+            if bound < params.beta:
+                stats.lub_prunes += 1
+                continue
+            sub_exten: list[PatternNode] = []
+            for xb in exten[pos + 1 :]:
+                stats.constructions += 1
+                node = construct(prefix, xa, xb, min_sc)
+                if node is None:
+                    stats.early_aborts += 1
+                else:
+                    sub_exten.append(node)
+            # Descend; this frame's iterator resumes after the subtree.
+            stack.append((xa, sub_exten, enumerate(sub_exten)))
+            break
+        else:
+            stack.pop()
 
 
 def _result_sort_key(rdb_rank):

@@ -88,7 +88,7 @@ def test_mine_writes_stats(dataset, tmp_path):
     assert lines[0].startswith("dataset,alpha,beta,minlen,maxlen,")
     row = lines[1].split(",")
     assert row[1:5] == ["0.3", "0.3", "1", "3"]
-    assert row[6:] == ["22", "22", "18"]  # visited, constructions, patterns
+    assert row[6:] == ["22", "20", "18"]  # visited, constructions, patterns
 
 
 def test_mine_minlen_filters_output(dataset, capsys):

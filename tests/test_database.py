@@ -76,6 +76,9 @@ def test_total_order_filters_infrequent(sample_db):
 def test_digit_labels_sort_numerically():
     db = build_database([(1, {"10": 1, "2": 1, "1": 1})], {"1": 1, "2": 1, "10": 1})
     assert db.item_labels == ("1", "2", "10")
+    # a digit that is not a decimal digit ("²") sorts as text, int() rejects it
+    db = build_database([(1, {"²": 1, "10": 1, "2": 1})], {"²": 1, "2": 1, "10": 1})
+    assert db.item_labels == ("2", "10", "²")
 
 
 def test_revision_reorders_and_keeps_tu(sample_db):

@@ -136,6 +136,7 @@ def test_spmf_and_qty_encodings_mine_identically():
         "1 2:10:4 6:extra",  # too many sections
         "1 2:10:4",  # count mismatch
         "1 x:10:4 6",  # non-integer item
+        "1 ²:10:4 6",  # a digit, but not a decimal integer
         "1 1:10:4 6",  # duplicate item
         "1 2:ten:4 6",  # bad tu
         "1 2:10:4 x",  # bad utility

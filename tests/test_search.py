@@ -1,5 +1,8 @@
 """Search engine: bounds, golden results, length window, stats."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -139,7 +142,7 @@ def test_visited_nodes_by_cap(sample_db):
 def test_stats_counters_on_golden_run(sample_db):
     _, stats = mine(sample_db, MiningParams(0.3, 0.3, 1, 3))
     assert stats.visited_nodes == 22
-    assert stats.constructions == 22
+    assert stats.constructions == 20
     # three joins provably cannot reach the support threshold
     assert stats.early_aborts == 3
     assert stats.lub_prunes == 0
@@ -168,9 +171,26 @@ def test_bound_log_is_sound_for_extensions(sample_db):
     frequent = brute_force_mine(sample_db, MiningParams(0.3, 1e-12, 1, 3))
     by_pattern = {r.pattern: r.uo for r in frequent}
     for pattern, bound in log:
+        assert len(pattern) < params.maxlen  # nodes at the cap are neither bounded nor joined
         for other, uo in by_pattern.items():
             if len(other) > len(pattern) and other[: len(pattern)] == pattern:
                 assert uo <= bound + 1e-9
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    # one transaction of 300 equal items: only the full pattern reaches
+    # minuo, and the bound cuts every node off the one path to it, so the
+    # walk is 300 levels deep but visits only 300 * 301 / 2 nodes
+    labels = [f"i{k}" for k in range(300)]
+    db = build_database([(1, dict.fromkeys(labels, 1))], dict.fromkeys(labels, 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        results, stats = mine(db, MiningParams(1.0, 1 - 1 / 600, 1, 300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(len(r.pattern), r.sup) for r in results] == [(300, 1)]
+    assert stats.visited_nodes == 45150
 
 
 def test_transaction_of_only_rare_items_changes_nothing():
