@@ -155,29 +155,15 @@ def build_database(
     """Assemble a database from ``(tid, {label: quantity})`` rows.
 
     Labels are coerced to strings and mapped to dense ids in ascending
-    label order.  Quantities must be positive; tids must be positive and
-    strictly increasing; every observed item needs a positive, finite
-    unit utility; every transaction utility must be finite.
+    label order; each row is then copied once, into its id-keyed
+    transaction.  Every observed item needs a positive, finite unit
+    utility, checked first; tids must be positive and strictly
+    increasing, quantities positive and transaction utilities finite.
     """
-    rows = [(tid, {str(k): v for k, v in entries.items()}) for tid, entries in rows]
+    rows = list(rows)
     util = {str(k): v for k, v in utilities.items()}
 
-    seen: set[str] = set()
-    last_tid = 0
-    for tid, entries in rows:
-        if not isinstance(tid, int) or tid <= 0:
-            raise InvalidDatabaseError(f"transaction ids must be positive integers, got {tid!r}")
-        if tid <= last_tid:
-            raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
-        last_tid = tid
-        for label, qty in entries.items():
-            if not qty > 0:  # also rejects nan
-                raise InvalidDatabaseError(
-                    f"quantity for item {label!r} in transaction {tid} must be positive, got {qty!r}"
-                )
-            seen.add(label)
-
-    labels = tuple(sorted(seen, key=_label_key))
+    labels = tuple(sorted({str(k) for _, entries in rows for k in entries}, key=_label_key))
     for label in labels:
         if label not in util:
             raise MissingUtilityError(label)
@@ -190,16 +176,27 @@ def build_database(
     table = {ids[label]: float(util[label]) for label in labels}
 
     transactions = []
+    last_tid = 0
     for tid, entries in rows:
+        if not isinstance(tid, int) or tid <= 0:
+            raise InvalidDatabaseError(f"transaction ids must be positive integers, got {tid!r}")
+        if tid <= last_tid:
+            raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
+        last_tid = tid
+        by_id: dict[int, float] = {}
+        for label, qty in entries.items():
+            if not qty > 0:  # also rejects nan
+                raise InvalidDatabaseError(
+                    f"quantity for item {str(label)!r} in transaction {tid} must be positive, got {qty!r}"
+                )
+            by_id[ids[str(label)]] = qty
         try:
-            tu = compute_tu(entries, util)
+            tu = compute_tu(by_id, table)
         except OverflowError:  # an int quantity beyond the float range
             tu = math.inf
         if tu == math.inf:
             raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
-        transactions.append(
-            Transaction(tid=tid, entries={ids[k]: v for k, v in entries.items()}, tu=tu)
-        )
+        transactions.append(Transaction(tid=tid, entries=by_id, tu=tu))
     return TransactionDatabase(
         transactions=tuple(transactions), utility_table=table, item_labels=labels
     )

@@ -1,6 +1,7 @@
 """Reading, writing and generating datasets, plus the result writers.
 
-Two text formats are supported, both UTF-8 with LF line endings:
+Two text formats are supported, both UTF-8 text whose lines end where
+``str.splitlines`` ends them; a leading byte-order mark is skipped:
 
 * utility-list lines, one transaction per line::
 
@@ -38,16 +39,19 @@ TU_TOLERANCE = 1e-6
 # ---------------------------------------------------------------------------
 # parsing
 
-def _open_lines(source) -> list[str]:
-    """Return the lines of a path or a text stream."""
-    if hasattr(source, "read"):
-        return source.read().splitlines()
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read().splitlines()
-
-
-def _data_lines(lines: Iterable[str], allow_comments: bool):
-    for no, raw in enumerate(lines, start=1):
+def _data_lines(source, allow_comments: bool) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for the data lines of a path
+    or a text stream, read whole, less one leading byte-order mark, and
+    split by ``str.splitlines``."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not UTF-8 text: {exc}") from None
+    for no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -63,10 +67,9 @@ def parse_spmf_utility(source) -> TransactionDatabase:
     or non-finite utilities, and lines whose declared TU is not within
     ``TU_TOLERANCE`` of the sum of the per-item utilities.
     """
-    lines = _open_lines(source)
     rows = []
     tid = 0
-    for no, line in _data_lines(lines, allow_comments=False):
+    for no, line in _data_lines(source, allow_comments=False):
         parts = line.split(":")
         if len(parts) != 3:
             raise DatasetFormatError("expected 'items:TU:utilities' with two colons", no)
@@ -111,9 +114,8 @@ def parse_spmf_utility(source) -> TransactionDatabase:
 
 def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
     """Parse a quantity file and its profit table into a database."""
-    profit_lines = _open_lines(profit_source)
     utilities: dict[str, float] = {}
-    for no, line in _data_lines(profit_lines, allow_comments=True):
+    for no, line in _data_lines(profit_source, allow_comments=True):
         fields = line.split()
         if len(fields) != 2:
             raise DatasetFormatError("expected 'item unit_utility'", no)
@@ -128,10 +130,9 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             raise DatasetFormatError(f"unit utility for item {label!r} must be positive and finite", no)
         utilities[label] = eu
 
-    tx_lines = _open_lines(tx_source)
     rows = []
     tid = 0
-    for no, line in _data_lines(tx_lines, allow_comments=True):
+    for no, line in _data_lines(tx_source, allow_comments=True):
         entries: dict[str, int] = {}
         for pair in line.split():
             label, sep, qty_text = pair.rpartition(":")

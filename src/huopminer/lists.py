@@ -33,7 +33,6 @@ if and only if the joined pattern would be infrequent.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
@@ -159,7 +158,8 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     """Build the single-item nodes in one pass, returned in mining order.
 
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
-    shares among the items after it in the same transaction.  Its
+    shares among the items after it in the same transaction: one walk
+    per transaction, last item first, keeps that top list running.  Its
     ``bits`` mark its positions in ``rdb.transactions``, gathered during
     the scan in a bytearray holding one bit per transaction.
     """
@@ -167,23 +167,20 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     luo_at: dict[int, dict[int, tuple[float, ...]]] = {item: {} for item in rdb.order.items}
     rruo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
     masks = {item: bytearray((len(rdb.transactions) + 7) // 8) for item in rdb.order.items}
-    slots = maxlen - 1
+    slots = max(maxlen - 1, 0)  # a negative slice bound would drop shares
 
     table = rdb.utility_table
     for k, tx in enumerate(rdb.transactions):
         byte, bit = k >> 3, 1 << (k & 7)
-        tid = tx.tid
-        items = list(tx.entries)
-        shares = [tx.entries[i] * table[i] / tx.tu for i in items]
-        for pos, item in enumerate(items):
-            if slots > 0:
-                luo = tuple(heapq.nlargest(slots, shares[pos + 1 :]))
-            else:
-                luo = ()
-            uo_at[item][tid] = shares[pos]
+        tid, tu, entries = tx.tid, tx.tu, tx.entries
+        luo: tuple[float, ...] = ()
+        for item in reversed(entries):
+            share = entries[item] * table[item] / tu
+            uo_at[item][tid] = share
             luo_at[item][tid] = luo
             rruo_at[item][tid] = sum(luo)
             masks[item][byte] |= bit
+            luo = tuple(sorted((*luo, share), reverse=True)[:slots])
 
     return tuple(
         PatternNode._from_columns(

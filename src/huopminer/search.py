@@ -155,6 +155,5 @@ def mine(
 def unconstrained_maxlen(db: TransactionDatabase, alpha: float) -> int:
     """Length cap that imposes no constraint: the number of frequent
     items (at least 1 so parameters stay well formed)."""
-    counts = support_counts(db)
     min_sc = min_support_count(alpha, db.size)
-    return max(1, sum(1 for c in counts.values() if c >= min_sc))
+    return max(1, len(build_total_order(support_counts(db), min_sc).items))

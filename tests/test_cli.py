@@ -208,6 +208,28 @@ def test_non_finite_input_exits_2(tmp_path, capsys, fmt, tx_text, profit_text, m
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fmt, tx_bytes, profit_text",
+    [
+        ("qty", b"a:3 b:\xff2\n", "a 3\nb 5\n"),
+        ("spmf", b"1 2:\xff:4 6\n", None),
+    ],
+    ids=["qty", "spmf"],
+)
+def test_non_utf8_input_exits_2(tmp_path, capsys, fmt, tx_bytes, profit_text):
+    tx = tmp_path / "input.txt"
+    tx.write_bytes(tx_bytes)
+    args = ["mine", "--input", str(tx), "--format", fmt, "--minsup", "0.3", "--minuo", "0.3"]
+    if profit_text is not None:
+        profit = tmp_path / "input.profit"
+        profit.write_text(profit_text)
+        args += ["--profit", str(profit)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 def test_bench_minuo_sweep(dataset, capsys):
     code = cli.main([
         "bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3"),

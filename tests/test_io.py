@@ -99,11 +99,41 @@ def test_parse_quantity_profit_rejects_bad_profits():
             parse_quantity_profit(stdio.StringIO("a:1\n"), stdio.StringIO(text + "\n"))
 
 
-def test_parse_error_reports_line_number():
+def test_parse_error_reports_line_number(tmp_path):
     text = "a:1\na:2\na:0\n"
     with pytest.raises(DatasetFormatError) as err:
         parse_quantity_profit(stdio.StringIO(text), stdio.StringIO(SAMPLE_PROFIT_FILE))
     assert "line 3" in str(err.value)
+    # a file read from its path with CRLF line ends counts lines the same
+    tx_path = tmp_path / "crlf.qty"
+    tx_path.write_bytes(text.replace("\n", "\r\n").encode())
+    profit_path = tmp_path / "crlf.profit"
+    profit_path.write_text(SAMPLE_PROFIT_FILE)
+    with pytest.raises(DatasetFormatError) as err:
+        parse_quantity_profit(tx_path, profit_path)
+    assert "line 3" in str(err.value)
+
+
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    want = qty_db()
+    got = parse_quantity_profit(
+        stdio.StringIO("\ufeff" + SAMPLE_QTY), stdio.StringIO("\ufeff" + SAMPLE_PROFIT_FILE)
+    )
+    assert got.item_labels == want.item_labels
+    assert [tx.tu for tx in got.transactions] == [tx.tu for tx in want.transactions]
+    # the same through paths, as an editor writing UTF-8 with a BOM saves them
+    tx_path = tmp_path / "bom.qty"
+    profit_path = tmp_path / "bom.profit"
+    tx_path.write_text(SAMPLE_QTY, encoding="utf-8-sig")
+    profit_path.write_text(SAMPLE_PROFIT_FILE, encoding="utf-8-sig")
+    got = parse_quantity_profit(tx_path, profit_path)
+    assert got.item_labels == want.item_labels
+    assert [tx.tu for tx in got.transactions] == [tx.tu for tx in want.transactions]
+
+    want = parse_spmf_utility(stdio.StringIO(SAMPLE_SPMF))
+    got = parse_spmf_utility(stdio.StringIO("\ufeff" + SAMPLE_SPMF))
+    assert got.item_labels == want.item_labels
+    assert [tx.tu for tx in got.transactions] == [tx.tu for tx in want.transactions]
 
 
 def test_parse_spmf_utility():
