@@ -9,7 +9,6 @@ from .database import (
     TransactionDatabase,
     build_database,
     build_total_order,
-    compute_tu,
     min_support_count,
     revise_database,
     support_counts,
@@ -21,7 +20,6 @@ from .io import (
     parse_spmf_utility,
     write_quantity_profit,
     write_results,
-    write_spmf_utility,
     write_stats_csv,
 )
 from .lists import PatternNode, UOTuple, build_initial_nodes, construct
@@ -52,7 +50,6 @@ __all__ = [
     "build_database",
     "build_initial_nodes",
     "build_total_order",
-    "compute_tu",
     "construct",
     "enumerate_supported",
     "generate_synthetic",
@@ -66,6 +63,5 @@ __all__ = [
     "unconstrained_maxlen",
     "write_quantity_profit",
     "write_results",
-    "write_spmf_utility",
     "write_stats_csv",
 ]

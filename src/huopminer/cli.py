@@ -18,7 +18,7 @@ import traceback
 from . import io as dataio
 from .database import MiningParams, TransactionDatabase
 from .errors import InputError
-from .oracle import brute_force_mine
+from .oracle import DEFAULT_MAX_ITEMS, brute_force_mine
 from .search import HUOPResult, mine, unconstrained_maxlen
 
 UO_MATCH_TOLERANCE = 1e-9
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare the engine against the brute-force reference")
     _add_dataset_flags(p)
     _add_mining_flags(p)
-    p.add_argument("--max-items", type=int, default=25,
-                   help="vocabulary cap for the reference run (default 25)")
+    p.add_argument("--max-items", type=int, default=DEFAULT_MAX_ITEMS,
+                   help=f"vocabulary cap for the reference run (default {DEFAULT_MAX_ITEMS})")
 
     p = sub.add_parser("bench", help="sweep one parameter and emit stats CSV")
     _add_dataset_flags(p)
@@ -122,19 +122,18 @@ def _load_db(args: argparse.Namespace) -> TransactionDatabase:
     return db
 
 
-def _resolve_params(args: argparse.Namespace, db: TransactionDatabase, maxlen: int) -> MiningParams:
-    if maxlen == 0:
-        maxlen = max(unconstrained_maxlen(db, args.minsup), args.minlen)
+def _resolve_params(args: argparse.Namespace, db: TransactionDatabase) -> MiningParams:
+    maxlen = args.maxlen or max(unconstrained_maxlen(db, args.minsup), args.minlen)
     return MiningParams(alpha=args.minsup, beta=args.minuo, minlen=args.minlen, maxlen=maxlen)
 
 
-def _stats_row(args, maxlen_flag: int, stats, results) -> dict[str, object]:
+def _stats_row(args, stats, results) -> dict[str, object]:
     return {
         "dataset": args.input,
         "alpha": args.minsup,
         "beta": args.minuo,
         "minlen": args.minlen,
-        "maxlen": maxlen_flag,
+        "maxlen": args.maxlen,
         "runtime_ms": stats.runtime_ms,
         "visited_nodes": stats.visited_nodes,
         "constructions": stats.constructions,
@@ -144,14 +143,14 @@ def _stats_row(args, maxlen_flag: int, stats, results) -> dict[str, object]:
 
 def run_mine(args: argparse.Namespace) -> int:
     db = _load_db(args)
-    params = _resolve_params(args, db, args.maxlen)
+    params = _resolve_params(args, db)
     results, stats = mine(db, params)
     if args.output:
         dataio.write_results(results, db, args.output)
     else:
         dataio.write_results(results, db, sys.stdout)
     if args.stats:
-        dataio.write_stats_csv([_stats_row(args, args.maxlen, stats, results)], args.stats)
+        dataio.write_stats_csv([_stats_row(args, stats, results)], args.stats)
     return 0
 
 
@@ -161,7 +160,7 @@ def _describe(db: TransactionDatabase, r: HUOPResult) -> str:
 
 def run_verify(args: argparse.Namespace) -> int:
     db = _load_db(args)
-    params = _resolve_params(args, db, args.maxlen)
+    params = _resolve_params(args, db)
     got, _ = mine(db, params)
     want = brute_force_mine(db, params, max_items=args.max_items)
 
@@ -197,26 +196,22 @@ def run_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"bad --values entry: {exc}") from None
 
-    for v in values:
-        if args.sweep == "maxlen" and v < 0:
-            raise UsageError(f"maxlen sweep values must be >= 0, got {v}")
-        if args.sweep in ("minsup", "minuo") and not 0.0 < v <= 1.0:
-            raise UsageError(f"{args.sweep} sweep values must be in (0, 1], got {v}")
     if args.sweep == "maxlen" and 0 not in values:
         values.append(0)  # always include the unconstrained baseline
 
-    db = _load_db(args)
-    rows = []
+    # every row's flags are checked before the input is read
+    sweep = []
     for v in values:
         row_args = argparse.Namespace(**vars(args))
-        if args.sweep == "minsup":
-            row_args.minsup = v
-        elif args.sweep == "minuo":
-            row_args.minuo = v
-        maxlen_flag = v if args.sweep == "maxlen" else row_args.maxlen
-        params = _resolve_params(row_args, db, maxlen_flag)
-        results, stats = mine(db, params)
-        rows.append(_stats_row(row_args, maxlen_flag, stats, results))
+        setattr(row_args, args.sweep, v)
+        _check_flags(row_args)
+        sweep.append(row_args)
+
+    db = _load_db(args)
+    rows = []
+    for row_args in sweep:
+        results, stats = mine(db, _resolve_params(row_args, db))
+        rows.append(_stats_row(row_args, stats, results))
 
     dataio.write_stats_csv(rows, args.stats if args.stats else sys.stdout)
     return 0

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidDatabaseError, InvalidParamsError, MissingUtilityError
@@ -54,13 +53,6 @@ class TransactionDatabase:
     @property
     def size(self) -> int:
         return len(self.transactions)
-
-    @cached_property
-    def _label_index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.item_labels)}
-
-    def item_id(self, label: str) -> int:
-        return self._label_index[str(label)]
 
     def labels_of(self, pattern: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.item_labels[i] for i in pattern)
@@ -124,23 +116,6 @@ def min_support_count(alpha: float, db_size: int) -> int:
     return math.ceil(alpha * db_size)
 
 
-def compute_tu(entries: Mapping, table: Mapping) -> float:
-    """Sum of quantity times unit utility over ``entries``.
-
-    Accepts either label or id keys as long as ``table`` is keyed the same
-    way.  Raises :class:`MissingUtilityError` for an item absent from the
-    table.
-    """
-    total = 0.0
-    for item, qty in entries.items():
-        try:
-            eu = table[item]
-        except KeyError:
-            raise MissingUtilityError(item) from None
-        total += qty * eu
-    return total
-
-
 def _label_key(label: str) -> tuple[int, int, str]:
     # All-decimal labels compare numerically, everything else as text.
     if label.isdecimal():
@@ -158,7 +133,8 @@ def build_database(
     label order; each row is then copied once, into its id-keyed
     transaction.  Every observed item needs a positive, finite unit
     utility, checked first; tids must be positive and strictly
-    increasing, quantities positive and transaction utilities finite.
+    increasing, quantities positive, the items of a row distinct after
+    coercion and transaction utilities finite.
     """
     rows = list(rows)
     util = {str(k): v for k, v in utilities.items()}
@@ -184,16 +160,20 @@ def build_database(
             raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
         last_tid = tid
         by_id: dict[int, float] = {}
+        tu = 0.0
         for label, qty in entries.items():
             if not qty > 0:  # also rejects nan
                 raise InvalidDatabaseError(
                     f"quantity for item {str(label)!r} in transaction {tid} must be positive, got {qty!r}"
                 )
-            by_id[ids[str(label)]] = qty
-        try:
-            tu = compute_tu(by_id, table)
-        except OverflowError:  # an int quantity beyond the float range
-            tu = math.inf
+            item = ids[str(label)]
+            by_id[item] = qty
+            try:
+                tu += qty * table[item]
+            except OverflowError:  # an int quantity beyond the float range
+                tu = math.inf
+        if len(by_id) < len(entries):  # keys such as 1 and "1" name one item
+            raise InvalidDatabaseError(f"transaction {tid} lists an item twice")
         if tu == math.inf:
             raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
         transactions.append(Transaction(tid=tid, entries=by_id, tu=tu))

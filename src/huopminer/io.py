@@ -151,8 +151,6 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             if label not in utilities:
                 raise DatasetFormatError(f"item {label!r} has no profit entry", no)
             entries[label] = qty
-        if not entries:
-            raise DatasetFormatError("no items in transaction", no)
         tid += 1
         rows.append((tid, entries))
 
@@ -262,18 +260,3 @@ def write_quantity_profit(db: TransactionDatabase, tx_dest, profit_dest) -> None
     with _output(profit_dest) as out:
         for item, label in enumerate(db.item_labels):
             out.write(f"{label} {_fmt_number(db.utility_table[item])}\n")
-
-
-def write_spmf_utility(db: TransactionDatabase, dest) -> None:
-    """Write a database as utility-list lines.
-
-    Labels are written verbatim; only databases with integer item labels
-    produce files that :func:`parse_spmf_utility` accepts back.
-    """
-    with _output(dest) as out:
-        for tx in db.transactions:
-            items = " ".join(db.item_labels[item] for item in tx.entries)
-            utilities = " ".join(
-                _fmt_number(qty * db.utility_table[item]) for item, qty in tx.entries.items()
-            )
-            out.write(f"{items}:{_fmt_number(tx.tu)}:{utilities}\n")

@@ -72,7 +72,6 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
 
 
 def search_subtree(
-    prefix: PatternNode | None,
     exten: list[PatternNode],
     params: MiningParams,
     min_sc: int,
@@ -80,13 +79,13 @@ def search_subtree(
     stats: SearchStats,
     bound_log: list[tuple[Pattern, float]] | None = None,
 ) -> None:
-    """Visit each extension of ``prefix`` and its subtree in mining order.
-
-    ``min_sc`` is the support count threshold, taken relative to the
-    original database size at every depth.  One stack frame per depth
-    keeps only the current path's extension lists alive.
+    """Walk the tree below the single-item nodes ``exten`` in pre-order,
+    siblings in mining order, so ``results`` gets the patterns of each
+    length in mining order.  ``min_sc`` is the support count threshold,
+    relative to the original database size at every depth.  One stack
+    frame per depth keeps only the current path's extension lists alive.
     """
-    stack = [(prefix, exten, enumerate(exten))]
+    stack = [(None, exten, enumerate(exten))]
     while stack:
         prefix, exten, siblings = stack[-1]
         for pos, xa in siblings:
@@ -116,13 +115,6 @@ def search_subtree(
             stack.pop()
 
 
-def _result_sort_key(rdb_rank):
-    def key(result: HUOPResult):
-        return (len(result.pattern), tuple(rdb_rank[i] for i in result.pattern))
-
-    return key
-
-
 def mine(
     db: TransactionDatabase,
     params: MiningParams,
@@ -132,9 +124,10 @@ def mine(
     """Mine all qualifying patterns of ``db`` under ``params``.
 
     Returns the results sorted by length, then by position in the mining
-    order, plus the run's counters.  ``threads`` is accepted for
-    compatibility and has no effect: the walk is serial, because a
-    thread pool over the first tree level was measured no faster.
+    order (the order the walk finds each length in), plus the run's
+    counters.  ``threads`` is accepted for compatibility and has no
+    effect: the walk is serial, because a thread pool over the first
+    tree level was measured no faster.
     """
     start = time.perf_counter()
     counts = support_counts(db)
@@ -145,9 +138,10 @@ def mine(
 
     stats = SearchStats()
     results: list[HUOPResult] = []
-    search_subtree(None, nodes, params, min_sc, results, stats, bound_log)
+    search_subtree(nodes, params, min_sc, results, stats, bound_log)
 
-    results.sort(key=_result_sort_key(order.rank))
+    # stable, and the walk appends each length's patterns in mining order
+    results.sort(key=lambda r: len(r.pattern))
     stats.runtime_ms = int((time.perf_counter() - start) * 1000)
     return results, stats
 

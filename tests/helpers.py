@@ -62,7 +62,7 @@ def make_sample_db() -> TransactionDatabase:
 
 def ids_of(db: TransactionDatabase, labels: str) -> tuple[int, ...]:
     """Map a compact label string like 'cae' to item ids."""
-    return tuple(db.item_id(ch) for ch in labels)
+    return tuple(db.item_labels.index(ch) for ch in labels)
 
 
 def joined_labels(db: TransactionDatabase, pattern) -> str:

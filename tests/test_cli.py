@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from huopminer import cli
+from huopminer import HUOPResult, cli
 
 SAMPLE_QTY = """\
 a:3 b:4 c:2 d:6 e:2
@@ -109,6 +109,40 @@ def test_verify_unconstrained(dataset, capsys):
     code = cli.main(["verify", *qty_args(dataset, "--minsup", "0.25", "--minuo", "0.4")])
     assert code == 0
     assert capsys.readouterr().out.startswith("MATCH: ")
+
+
+def test_verify_reports_each_difference(dataset, monkeypatch, capsys):
+    real_mine = cli.mine
+
+    def skewed_mine(db, params):
+        results, stats = real_mine(db, params)
+        by_label = {"".join(db.labels_of(r.pattern)): r for r in results}
+        assert "c" not in by_label  # c's occupancy is below --minuo
+        c = HUOPResult(pattern=(db.item_labels.index("c"),), sup=5, uo=0.25)
+        e = by_label["e"]
+        skewed = [r for r in results if r is not by_label["b"] and r is not e]
+        skewed += [c, HUOPResult(pattern=e.pattern, sup=e.sup, uo=e.uo + 1e-6)]
+        return skewed, stats
+
+    monkeypatch.setattr(cli, "mine", skewed_mine)
+    code = cli.main(["verify", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3")])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["missing", "unexpected", "mismatch"]
+    assert lines[0].startswith("missing: b (sup=8, ")
+    assert lines[1].startswith("unexpected: c (sup=5, ")
+    assert lines[2].startswith("mismatch: engine e (sup=6, ")
+
+
+def test_internal_error_exits_1_with_traceback(dataset, monkeypatch, capsys):
+    def broken_mine(db, params):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "mine", broken_mine)
+    assert cli.main(mine_args(dataset)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert "RuntimeError: engine fault" in err
 
 
 def test_flag_errors_block_before_io(tmp_path, capsys):
@@ -242,6 +276,34 @@ def test_bench_minuo_sweep(dataset, capsys):
     assert patterns == sorted(patterns, reverse=True)
     betas = [line.split(",")[2] for line in lines[1:]]
     assert betas == ["0.2", "0.4", "0.6"]
+
+
+def test_bench_minsup_sweep(dataset, capsys):
+    code = cli.main([
+        "bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3"),
+        "--sweep", "minsup", "--values", "0.2,0.4,0.6",
+    ])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    patterns = [int(line.split(",")[-1]) for line in lines[1:]]
+    assert patterns == sorted(patterns, reverse=True)
+    assert patterns[0] > patterns[-1]
+    alphas = [line.split(",")[1] for line in lines[1:]]
+    assert alphas == ["0.2", "0.4", "0.6"]
+
+
+def test_bench_checks_every_row_before_io(tmp_path, capsys):
+    missing = tmp_path / "does-not-exist.qty"
+    code = cli.main([
+        "bench", "--input", str(missing), "--format", "qty", "--profit", str(missing),
+        "--minsup", "0.3", "--minuo", "0.3", "--minlen", "3",
+        "--sweep", "maxlen", "--values", "4,2",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--maxlen 2" in err
+    assert "does-not-exist" not in err  # rejected before any read was attempted
 
 
 def test_bench_maxlen_sweep_adds_uncapped_row(dataset, tmp_path):

@@ -5,14 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, SAMPLE_TUS, ids_of, small_databases, transaction
+from helpers import SAMPLE_ROWS, SAMPLE_TUS, small_databases, transaction
 from huopminer import (
     MiningParams,
     Transaction,
     TransactionDatabase,
     build_database,
     build_total_order,
-    compute_tu,
     min_support_count,
     revise_database,
     support_counts,
@@ -22,19 +21,6 @@ from huopminer.errors import InvalidDatabaseError, InvalidParamsError, MissingUt
 
 def test_tu_per_transaction(sample_db):
     assert [tx.tu for tx in sample_db.transactions] == SAMPLE_TUS
-
-
-def test_compute_tu_direct():
-    table = {"a": 3, "d": 2}
-    assert compute_tu({"a": 2, "d": 4}, table) == 14
-    assert compute_tu({"d": 3}, table) == 6
-    assert compute_tu({}, table) == 0
-
-
-def test_compute_tu_missing_utility():
-    with pytest.raises(MissingUtilityError) as err:
-        compute_tu({"a": 1, "z": 2}, {"a": 3})
-    assert "z" in str(err.value)
 
 
 def test_support_counts(sample_db):
@@ -144,7 +130,7 @@ def test_revision_invariants(db):
         ranks = [order.rank[i] for i in tx.entries]
         assert ranks == sorted(ranks)
         assert all(counts[i] >= min_sc for i in tx.entries)
-        kept_utility = compute_tu(tx.entries, db.utility_table)
+        kept_utility = sum(qty * db.utility_table[i] for i, qty in tx.entries.items())
         assert kept_utility <= tx.tu + 1e-9
 
 
@@ -162,6 +148,8 @@ def test_params_validation():
         MiningParams(0.3, 0.3, 0, 3)
     with pytest.raises(InvalidParamsError):
         MiningParams(0.3, 0.3, 3, 2)
+    with pytest.raises(InvalidParamsError):
+        MiningParams(0.3, 0.3, 1, 3.0)
 
 
 def test_build_database_rejects_bad_rows():
@@ -188,10 +176,10 @@ def test_build_database_rejects_bad_rows():
         build_database([(1, {"a": 10**400, "b": 1})], {"a": 1, "b": 1})
 
 
-def test_item_id_roundtrip(sample_db):
-    for label in SAMPLE_PROFITS:
-        assert sample_db.item_labels[sample_db.item_id(label)] == label
-    assert ids_of(sample_db, "ace") == tuple(sample_db.item_id(ch) for ch in "ace")
+def test_build_database_rejects_a_label_given_twice():
+    # 1 and "1" are one label once coerced to text
+    with pytest.raises(InvalidDatabaseError, match="transaction 2 lists an item twice"):
+        build_database([(1, {"1": 1}), (2, {1: 2, "1": 3})], {"1": 1})
 
 
 def test_sample_shape(sample_db):

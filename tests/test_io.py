@@ -15,7 +15,6 @@ from huopminer import (
     support_counts,
     write_quantity_profit,
     write_results,
-    write_spmf_utility,
     write_stats_csv,
 )
 from huopminer.errors import DatasetConsistencyError, DatasetFormatError
@@ -243,22 +242,6 @@ def test_generated_database_round_trips(tmp_path):
     got, _ = mine(back, params)
     want, _ = mine(db, params)
     assert got == want
-
-
-def test_spmf_writer_round_trips(tmp_path):
-    db = generate_synthetic(GeneratorSpec(n_items=8, n_transactions=15, avg_transaction_len=3, seed=5))
-    path = tmp_path / "g.spmf"
-    write_spmf_utility(db, path)
-    back = parse_spmf_utility(path)
-    assert back.item_labels == db.item_labels
-    assert [tx.tu for tx in back.transactions] == [tx.tu for tx in db.transactions]
-    params = MiningParams(0.2, 0.2, 1, 3)
-    got, _ = mine(back, params)
-    want, _ = mine(db, params)
-    assert [r.pattern for r in got] == [r.pattern for r in want]
-    assert [r.sup for r in got] == [r.sup for r in want]
-    for a, b in zip(got, want):
-        assert a.uo == pytest.approx(b.uo, abs=1e-9)
 
 
 def golden_results(db):
