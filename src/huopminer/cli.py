@@ -145,10 +145,7 @@ def run_mine(args: argparse.Namespace) -> int:
     db = _load_db(args)
     params = _resolve_params(args, db)
     results, stats = mine(db, params)
-    if args.output:
-        dataio.write_results(results, db, args.output)
-    else:
-        dataio.write_results(results, db, sys.stdout)
+    dataio.write_results(results, db, args.output or sys.stdout)
     if args.stats:
         dataio.write_stats_csv([_stats_row(args, stats, results)], args.stats)
     return 0
@@ -241,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_flags(args)
         return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -72,16 +72,14 @@ class RevisedDatabase:
     """A database view with infrequent items stripped and the remaining
     entries sorted by the total order.
 
-    ``size`` is the size of the original database; transactions left with
-    no frequent items are dropped from ``transactions`` but still count
-    toward ``size`` (support thresholds are relative to the original
-    database).  ``tu`` values are carried over unchanged.
+    Transactions left with no frequent item are dropped from
+    ``transactions``, yet support thresholds stay relative to the size of
+    the original database.  ``tu`` values are carried over unchanged.
     """
 
     transactions: tuple[Transaction, ...]
     order: TotalOrder
     utility_table: Mapping[int, float]
-    size: int
 
 
 @dataclass(frozen=True)
@@ -203,9 +201,9 @@ def build_total_order(counts: Mapping[int, int], min_sup_count: int) -> TotalOrd
 def revise_database(db: TransactionDatabase, order: TotalOrder) -> RevisedDatabase:
     """Strip items outside ``order`` and sort the rest by it.
 
-    ``tu`` values and the database size are kept from the original
-    database; transactions that retain no item are dropped from the
-    iteration sequence.
+    ``tu`` values are kept from the original database; transactions that
+    retain no item are dropped, though they still count toward the
+    original size that support thresholds are relative to.
     """
     revised = []
     for tx in db.transactions:
@@ -218,5 +216,4 @@ def revise_database(db: TransactionDatabase, order: TotalOrder) -> RevisedDataba
         transactions=tuple(revised),
         order=order,
         utility_table=db.utility_table,
-        size=db.size,
     )

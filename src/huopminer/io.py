@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -65,7 +66,8 @@ def parse_spmf_utility(source) -> TransactionDatabase:
 
     Rejects malformed lines, duplicate items within a line, non-positive
     or non-finite utilities, and lines whose declared TU is not within
-    ``TU_TOLERANCE`` of the sum of the per-item utilities.
+    ``TU_TOLERANCE`` of the sum of the per-item utilities, widened by the
+    rounding error a float sum of that many values can carry.
     """
     rows = []
     tid = 0
@@ -100,8 +102,10 @@ def parse_spmf_utility(source) -> TransactionDatabase:
                 raise DatasetFormatError(f"utility for item {token!r} must be positive and finite", no)
             entries[token] = value
             total += value
-        # written so that a nan or infinite TU fails the check too
-        if not abs(total - tu) <= TU_TOLERANCE:
+        # the rounding slack scales with the sum, not with tu, so that an
+        # infinite TU still fails; the negated test fails a nan TU too
+        slack = (len(items) + 1) * sys.float_info.epsilon * total
+        if not abs(total - tu) <= TU_TOLERANCE + slack:
             raise DatasetConsistencyError(
                 f"declared TU {tu} but utilities sum to {total}", no
             )

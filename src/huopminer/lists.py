@@ -11,7 +11,8 @@ when the single-item nodes are built.  The node derives from them the
 support count and the means of ``uo`` and of ``sum(luo)``, so the search
 can gate and bound patterns without touching the database again.
 
-Two ways to build them:
+Nodes are built in two places, both through the one
+:class:`PatternNode` constructor over these columns:
 
 * :func:`build_initial_nodes` scans the revised database once and builds
   the single-item nodes.
@@ -33,7 +34,7 @@ if and only if the joined pattern would be infrequent.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
@@ -61,44 +62,21 @@ class PatternNode:
     pattern does not occur in.  Only the tids of ``uo_at`` belong to the
     node.
 
-    ``bits`` has bit ``k`` set when the pattern occurs in transaction
-    ``k`` of one numbering that every node of a search shares:
-    :func:`build_initial_nodes` numbers transactions by their index in
-    the revised database, so a mask takes one bit per transaction
+    ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
+    of the revised database, so a mask takes one bit per transaction
     whatever the tids are.
-
-    ``PatternNode(pattern, tuples[, bits])`` builds a node by hand from
-    ``UOTuple``s in ascending tid order; left out, ``bits`` is derived
-    from the tids (bit ``tid``), which suits small hand-made tids.
     """
 
     __slots__ = ("pattern", "uo_at", "luo_at", "rruo_at", "sup", "uo", "bits")
 
     def __init__(
-        self, pattern: Pattern, tuples: Iterable[UOTuple], bits: int | None = None
-    ) -> None:
-        tuples = tuple(tuples)
-        uo_at = {t.tid: t.uo for t in tuples}
-        if bits is None:
-            bits = sum(1 << tid for tid in uo_at)
-        luo_at = {t.tid: t.luo for t in tuples}
-        rruo_at = {tid: sum(luo) for tid, luo in luo_at.items()}
-        self._fill(pattern, uo_at, luo_at, rruo_at, bits)
-
-    @classmethod
-    def _from_columns(
-        cls,
+        self,
         pattern: Pattern,
         uo_at: dict[int, float],
         luo_at: dict[int, tuple[float, ...]],
         rruo_at: dict[int, float],
         bits: int,
-    ) -> PatternNode:
-        node = cls.__new__(cls)
-        node._fill(pattern, uo_at, luo_at, rruo_at, bits)
-        return node
-
-    def _fill(self, pattern, uo_at, luo_at, rruo_at, bits) -> None:
+    ) -> None:
         self.pattern = pattern
         self.uo_at = uo_at
         self.luo_at = luo_at
@@ -129,12 +107,11 @@ class PatternNode:
         return self
 
 
-class UOTupleView(Sequence):
-    """Read-only sequence of a node's ``UOTuple``s in ascending tid order.
+class UOTupleView:
+    """A node's ``UOTuple``s in ascending tid order.
 
     ``len`` is the node's support, in constant time; each ``UOTuple`` is
-    built when it is read.  Indexing walks the columns, so it costs time
-    linear in the support.
+    built as iteration reaches it.
     """
 
     __slots__ = ("_node",)
@@ -149,9 +126,6 @@ class UOTupleView(Sequence):
         luo_at = self._node.luo_at
         for tid, uo in self._node.uo_at.items():
             yield UOTuple(tid, uo, luo_at[tid])
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
 
 
 def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode, ...]:
@@ -183,7 +157,7 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
             luo = tuple(sorted((*luo, share), reverse=True)[:slots])
 
     return tuple(
-        PatternNode._from_columns(
+        PatternNode(
             (item,),
             uo_at[item],
             luo_at[item],
@@ -223,6 +197,6 @@ def construct(
             raise PrefixTupleMissingError(
                 f"prefix {prefix.pattern} has no entry for transaction {missing.args[0]}"
             ) from None
-    return PatternNode._from_columns(
+    return PatternNode(
         xa.pattern + (xb.pattern[-1],), uo_at, xb.luo_at, xb.rruo_at, bits
     )

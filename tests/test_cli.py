@@ -134,6 +134,17 @@ def test_verify_reports_each_difference(dataset, monkeypatch, capsys):
     assert lines[2].startswith("mismatch: engine e (sup=6, ")
 
 
+def test_verify_max_items_caps_the_oracle(dataset, capsys):
+    # the sample has 5 items: a cap of 4 refuses the oracle run, 5 allows it
+    flags = qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3")
+    assert cli.main(["verify", *flags, "--max-items", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "exceed the enumeration cap of 4" in err
+    assert "Traceback" not in err
+    assert cli.main(["verify", *flags, "--max-items", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "MATCH: 18 patterns"
+
+
 def test_internal_error_exits_1_with_traceback(dataset, monkeypatch, capsys):
     def broken_mine(db, params):
         raise RuntimeError("engine fault")

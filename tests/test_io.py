@@ -174,6 +174,8 @@ def test_spmf_and_qty_encodings_mine_identically():
         "1 2:10:4 nan",  # nan utility, which the TU check alone let through
         "1 2:nan:4 6",  # nan tu
         "1 2:inf:4 inf",  # infinite tu and utility
+        "1 2:inf:4 6",  # infinite tu over finite utilities
+        "1 2:2000000000001:1000000000000 1000000000000",  # off by one unit at 2e12
     ],
 )
 def test_parse_spmf_rejects_malformed(line):
@@ -187,6 +189,10 @@ def test_parse_spmf_checks_consistency():
     assert "line 1" in str(err.value)
     # tiny float dust is tolerated
     parse_spmf_utility(stdio.StringIO("1 2:10.0000001:4 6\n"))
+    # so is the rounding of a float sum of large utilities, which exceeds
+    # the absolute tolerance although the line adds up in decimal
+    line = "1 2 3 4:1573862204694.3:11219070790.4 735427076954.2 240885527195.3 586330529754.4"
+    parse_spmf_utility(stdio.StringIO(line + "\n"))
 
 
 def test_generator_is_deterministic():

@@ -14,7 +14,7 @@ from huopminer import (
     support_counts,
 )
 from huopminer.errors import PrefixTupleMissingError
-from huopminer.lists import PatternNode, UOTuple
+from huopminer.lists import PatternNode
 from huopminer.measures import (
     luo_in_transaction,
     rruo_in_transaction,
@@ -42,8 +42,7 @@ def test_initial_nodes_in_mining_order(sample_db, rdb):
 def test_initial_node_c(sample_db, nodes):
     c = nodes["c"]
     assert [t.tid for t in c.uonl.tuples] == [1, 2, 4, 6, 9]
-    t6 = c.uonl.tuples[3]
-    assert t6.tid == 6
+    t6 = next(t for t in c.uonl.tuples if t.tid == 6)
     assert t6.uo == pytest.approx(0.1, abs=5e-4)
     assert t6.luo == pytest.approx((0.5, 1 / 6), abs=5e-4)
 
@@ -97,19 +96,17 @@ def test_tuples_view_of_a_joined_node(nodes):
     first, second = list(view), list(view)
     assert first == second
     assert [t.tid for t in first] == [1, 2, 6]
-    assert view[0] == first[0] and view[-1] == first[-1] == view[2]
-    assert view[-3] == first[0]
-    with pytest.raises(IndexError):
-        view[3]
-    rebuilt = PatternNode(joined.pattern, view)
-    assert (rebuilt.sup, rebuilt.uo, rebuilt.rruo) == (joined.sup, joined.uo, joined.rruo)
-    assert list(rebuilt.uonl.tuples) == first
+
+
+def _node(pattern, uo_at, bits):
+    """A node over hand-made columns with no room left after it."""
+    return PatternNode(pattern, uo_at, dict.fromkeys(uo_at, ()), dict.fromkeys(uo_at, 0.0), bits)
 
 
 def test_construct_aborts_on_disjoint_tids():
-    t = lambda tid: UOTuple(tid, 0.5, ())
-    xa = PatternNode((0,), (t(1), t(2)))
-    xb = PatternNode((1,), (t(3), t(4)))
+    # tids 1-4 sit at positions 0-3 of the revised database
+    xa = _node((0,), {1: 0.5, 2: 0.5}, 0b0011)
+    xb = _node((1,), {3: 0.5, 4: 0.5}, 0b1100)
     assert construct(None, xa, xb, 1) is None
 
 
@@ -119,10 +116,10 @@ def test_construct_aborts_when_support_cannot_reach_threshold(nodes):
 
 
 def test_construct_missing_prefix_tuple_is_an_error():
-    t = lambda tid, uo: UOTuple(tid, uo, ())
-    prefix = PatternNode((0,), (t(1, 0.2),))
-    xa = PatternNode((0, 1), (t(1, 0.4), t(2, 0.4)))
-    xb = PatternNode((0, 2), (t(2, 0.3),))
+    # tids 1 and 2 sit at positions 0 and 1; the prefix lacks tid 2
+    prefix = _node((0,), {1: 0.2}, 0b01)
+    xa = _node((0, 1), {1: 0.4, 2: 0.4}, 0b11)
+    xb = _node((0, 2), {2: 0.3}, 0b10)
     with pytest.raises(PrefixTupleMissingError):
         construct(prefix, xa, xb, 1)
 
