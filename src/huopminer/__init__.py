@@ -1,6 +1,7 @@
 """High utility-occupancy pattern mining under length constraints."""
 
 from .database import (
+    HUOPResult,
     MiningParams,
     Pattern,
     RevisedDatabase,
@@ -22,15 +23,9 @@ from .io import (
     write_results,
     write_stats_csv,
 )
-from .lists import PatternNode, UOTuple, build_initial_nodes, construct
+from .lists import PatternNode, UOTuple, build_initial_nodes, construct, length_upper_bound
 from .oracle import brute_force_mine, enumerate_supported
-from .search import (
-    HUOPResult,
-    SearchStats,
-    length_upper_bound,
-    mine,
-    unconstrained_maxlen,
-)
+from .search import SearchStats, mine, unconstrained_maxlen
 
 __version__ = "0.1.0"
 

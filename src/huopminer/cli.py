@@ -16,16 +16,12 @@ import sys
 import traceback
 
 from . import io as dataio
-from .database import MiningParams, TransactionDatabase
+from .database import HUOPResult, MiningParams, TransactionDatabase
 from .errors import InputError
 from .oracle import DEFAULT_MAX_ITEMS, brute_force_mine
-from .search import HUOPResult, mine, unconstrained_maxlen
+from .search import mine, unconstrained_maxlen
 
 UO_MATCH_TOLERANCE = 1e-9
-
-
-class UsageError(InputError):
-    """Flag combinations the parser alone cannot reject."""
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
@@ -92,24 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args: argparse.Namespace) -> None:
     """Domain checks that must run before any file is touched."""
     if getattr(args, "minsup", None) is not None and not 0.0 < args.minsup <= 1.0:
-        raise UsageError(f"--minsup must be in (0, 1], got {args.minsup}")
+        raise InputError(f"--minsup must be in (0, 1], got {args.minsup}")
     if getattr(args, "minuo", None) is not None and not 0.0 < args.minuo <= 1.0:
-        raise UsageError(f"--minuo must be in (0, 1], got {args.minuo}")
+        raise InputError(f"--minuo must be in (0, 1], got {args.minuo}")
     if getattr(args, "minlen", None) is not None and args.minlen < 1:
-        raise UsageError(f"--minlen must be >= 1, got {args.minlen}")
+        raise InputError(f"--minlen must be >= 1, got {args.minlen}")
     if getattr(args, "maxlen", None) is not None:
         if args.maxlen < 0:
-            raise UsageError(f"--maxlen must be >= 0, got {args.maxlen}")
+            raise InputError(f"--maxlen must be >= 0, got {args.maxlen}")
         if args.maxlen != 0 and args.maxlen < args.minlen:
-            raise UsageError(
+            raise InputError(
                 f"--maxlen {args.maxlen} is below --minlen {args.minlen} (0 lifts the cap)"
             )
     if getattr(args, "threads", None) is not None and args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+        raise InputError(f"--threads must be >= 1, got {args.threads}")
     if getattr(args, "format", None) == "qty" and not args.profit:
-        raise UsageError("--profit is required with --format qty")
+        raise InputError("--profit is required with --format qty")
     if getattr(args, "format", None) == "spmf" and args.profit:
-        raise UsageError("--profit only applies to --format qty")
+        raise InputError("--profit only applies to --format qty")
 
 
 def _load_db(args: argparse.Namespace) -> TransactionDatabase:
@@ -184,14 +180,14 @@ def run_verify(args: argparse.Namespace) -> int:
 def run_bench(args: argparse.Namespace) -> int:
     tokens = [v for v in args.values.split(",") if v.strip()]
     if not tokens:
-        raise UsageError("--values must list at least one value")
+        raise InputError("--values must list at least one value")
     try:
         if args.sweep == "maxlen":
             values = [int(v) for v in tokens]
         else:
             values = [float(v) for v in tokens]
     except ValueError as exc:
-        raise UsageError(f"bad --values entry: {exc}") from None
+        raise InputError(f"bad --values entry: {exc}") from None
 
     if args.sweep == "maxlen" and 0 not in values:
         values.append(0)  # always include the unconstrained baseline
@@ -225,7 +221,7 @@ def run_gen(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(str(exc)) from None
     db = dataio.generate_synthetic(spec)
     profit = args.profit if args.profit else args.output + ".profit"
     dataio.write_quantity_profit(db, args.output, profit)

@@ -27,6 +27,15 @@ Pattern = tuple[int, ...]
 
 
 @dataclass(frozen=True)
+class HUOPResult:
+    """One reported pattern with its support count and mean occupancy."""
+
+    pattern: Pattern
+    sup: int
+    uo: float
+
+
+@dataclass(frozen=True)
 class Transaction:
     """One transaction: ``entries`` maps item id to quantity.
 
@@ -110,8 +119,12 @@ class MiningParams:
 
 
 def min_support_count(alpha: float, db_size: int) -> int:
-    """Minimum number of supporting transactions implied by ``alpha``."""
-    return math.ceil(alpha * db_size)
+    """Least support count ``m`` with ``m / db_size >= alpha``; the float
+    product can round past an integer (``0.07 * 100 > 7``)."""
+    count = math.ceil(alpha * db_size)
+    if count > 0 and (count - 1) / db_size >= alpha:  # int / int rounds correctly
+        count -= 1
+    return count
 
 
 def _label_key(label: str) -> tuple[int, int, str]:

@@ -30,9 +30,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .database import TransactionDatabase, build_database
+from .database import HUOPResult, TransactionDatabase, build_database
 from .errors import DatasetConsistencyError, DatasetFormatError
-from .search import HUOPResult
 
 TU_TOLERANCE = 1e-6
 
@@ -100,7 +99,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
                 raise DatasetFormatError(f"bad utility value {text!r}", no) from None
             if not 0 < value < math.inf:
                 raise DatasetFormatError(f"utility for item {token!r} must be positive and finite", no)
-            entries[token] = value
+            entries[sys.intern(token)] = value
             total += value
         # the rounding slack scales with the sum, not with tu, so that an
         # infinite TU still fails; the negated test fails a nan TU too
@@ -154,7 +153,7 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
                 )
             if label not in utilities:
                 raise DatasetFormatError(f"item {label!r} has no profit entry", no)
-            entries[label] = qty
+            entries[sys.intern(label)] = qty
         tid += 1
         rows.append((tid, entries))
 

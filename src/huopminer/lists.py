@@ -8,8 +8,9 @@ id rather than as one record per transaction: ``uo_at`` maps each tid
 to the pattern's own ``uo``, ``luo_at`` maps tids to the ``luo`` of the
 pattern's last item and ``rruo_at`` to its ``sum(luo)``, summed once
 when the single-item nodes are built.  The node derives from them the
-support count and the means of ``uo`` and of ``sum(luo)``, so the search
-can gate and bound patterns without touching the database again.
+support count and the means of ``uo`` and of ``sum(luo)``, and
+:func:`length_upper_bound` bounds its extensions from the columns, so
+the search gates and bounds patterns without touching the database.
 
 Nodes are built in two places, both through the one
 :class:`PatternNode` constructor over these columns:
@@ -105,6 +106,21 @@ class PatternNode:
     def fuot(self) -> PatternNode:
         """The FUO-table view: ``sup``, ``uo`` and ``rruo``."""
         return self
+
+
+def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
+    """Upper bound on the mean occupancy of any extension reachable from
+    this node under the length cap its ``luo`` lists were built for.
+
+    Per supporting transaction the pattern's own share plus everything
+    an extension could still absorb is ``uo + sum(luo)``; any frequent
+    extension is supported by at least ``min_sup_count`` of these
+    transactions, so the mean of the ``min_sup_count`` largest such
+    values bounds its occupancy.
+    """
+    rruo_at = node.rruo_at
+    values = sorted([uo + rruo_at[tid] for tid, uo in node.uo_at.items()], reverse=True)
+    return sum(values[:min_sup_count]) / min_sup_count
 
 
 class UOTupleView:

@@ -9,6 +9,7 @@ vocabularies, so runs are refused beyond a configurable item cap.
 from __future__ import annotations
 
 from .database import (
+    HUOPResult,
     MiningParams,
     Pattern,
     TransactionDatabase,
@@ -18,7 +19,6 @@ from .database import (
 )
 from .errors import OracleGuardError
 from .measures import uo_of_pattern
-from .search import HUOPResult
 
 DEFAULT_MAX_ITEMS = 25
 

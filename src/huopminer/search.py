@@ -8,7 +8,9 @@ A node already ``maxlen`` long ends its branch before any bound or join.
 Below the cap a subtree is explored only when :func:`length_upper_bound`,
 built on the capped ``luo`` lists, says an extension could still reach
 the occupancy threshold.  Occupancy is not anti-monotone and never
-prunes; ``minlen`` only filters what is reported.
+prunes; ``minlen`` only filters what is reported.  The walk reads only
+a node's summary, ``pattern``, ``sup`` and ``uo``: :mod:`huopminer.lists`
+builds, joins and bounds the nodes over their occupancy columns.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .database import (
+    HUOPResult,
     MiningParams,
     Pattern,
     TransactionDatabase,
@@ -25,16 +28,7 @@ from .database import (
     revise_database,
     support_counts,
 )
-from .lists import PatternNode, build_initial_nodes, construct
-
-
-@dataclass(frozen=True)
-class HUOPResult:
-    """One reported pattern with its support count and mean occupancy."""
-
-    pattern: Pattern
-    sup: int
-    uo: float
+from .lists import PatternNode, build_initial_nodes, construct, length_upper_bound
 
 
 @dataclass
@@ -54,21 +48,6 @@ class SearchStats:
     support_prunes: int = 0
     early_aborts: int = 0
     runtime_ms: int = 0
-
-
-def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
-    """Upper bound on the mean occupancy of any extension reachable from
-    this node under the length cap its ``luo`` lists were built for.
-
-    Per supporting transaction the pattern's own share plus everything
-    an extension could still absorb is ``uo + sum(luo)``; any frequent
-    extension is supported by at least ``min_sup_count`` of these
-    transactions, so the mean of the ``min_sup_count`` largest such
-    values bounds its occupancy.
-    """
-    rruo_at = node.rruo_at
-    values = sorted([uo + rruo_at[tid] for tid, uo in node.uo_at.items()], reverse=True)
-    return sum(values[:min_sup_count]) / min_sup_count
 
 
 def search_subtree(

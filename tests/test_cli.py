@@ -99,6 +99,26 @@ def test_mine_minlen_filters_output(dataset, capsys):
     assert all(" " in line.split(" #SUP")[0] for line in lines)
 
 
+def test_minsup_times_size_rounding_past_an_integer(tmp_path, capsys):
+    # 0.07 * 100 is 7.000000000000001 in floats, yet 7 / 100 == 0.07:
+    # a, in 7 of 100 transactions, is frequent at --minsup 0.07
+    tx = tmp_path / "round.qty"
+    profit = tmp_path / "round.profit"
+    tx.write_text("a:1 b:1\n" * 7 + "b:1 c:1\n" * 93)
+    profit.write_text("a 5\nb 1\nc 1\n")
+    outputs = []
+    for minsup in ("0.07", "0.069"):
+        code = cli.main([
+            "mine", "--input", str(tx), "--format", "qty", "--profit", str(profit),
+            "--minsup", minsup, "--minuo", "0.5", "--maxlen", "2",
+        ])
+        assert code == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert "a #SUP: 7 #UO: 0.83333" in outputs[0]
+    assert "a b #SUP: 7 #UO: 1.00000" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_matches(dataset, capsys):
     code = cli.main(["verify", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3")])
     assert code == 0

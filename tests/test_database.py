@@ -35,6 +35,10 @@ def test_min_support_count():
     assert min_support_count(1.0, 10) == 10
     assert min_support_count(0.3, 25) == 8
     assert min_support_count(0.01, 10) == 1
+    # the float product rounds past the integer: 0.07 * 100 > 7
+    assert min_support_count(0.07, 100) == 7
+    assert min_support_count(0.14, 100) == 14
+    assert min_support_count(0.035, 200) == 7
 
 
 def test_total_order_on_sample(sample_db):

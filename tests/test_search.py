@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from huopminer import (
     support_counts,
     unconstrained_maxlen,
 )
+from huopminer import search
 from huopminer.measures import uo_of_pattern
 from huopminer.oracle import brute_force_mine
 from huopminer.search import length_upper_bound
@@ -156,6 +158,31 @@ def test_threads_do_not_change_anything(sample_db):
     assert solo_stats.visited_nodes == pooled_stats.visited_nodes
     assert solo_stats.constructions == pooled_stats.constructions
     assert solo_stats.early_aborts == pooled_stats.early_aborts
+
+
+def test_mine_calls_its_steps_through_the_search_globals(sample_db, monkeypatch):
+    # profilers rebind these names on huopminer.search; mine and the walk
+    # must look each one up there at call time
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, wrapper)
+
+    steps = ("support_counts", "build_total_order", "revise_database", "build_initial_nodes",
+             "search_subtree", "construct", "length_upper_bound")
+    for name in steps:
+        counting(name)
+    log = []
+    _, stats = mine(sample_db, MiningParams(0.3, 0.3, 1, 3), bound_log=log)
+    assert [calls[name] for name in steps[:5]] == [1] * 5
+    assert calls["construct"] == stats.constructions == 20
+    assert calls["length_upper_bound"] == len(log) > 0
 
 
 def test_unconstrained_cap(sample_db):
