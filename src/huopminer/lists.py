@@ -3,14 +3,15 @@ from it.
 
 For each supporting transaction a pattern has a utility share there
 (``uo``) plus the capped list of the largest shares still available
-after it (``luo``).  A node stores these as columns keyed by transaction
-id rather than as one record per transaction: ``uo_at`` maps each tid
-to the pattern's own ``uo``, ``luo_at`` maps tids to the ``luo`` of the
-pattern's last item and ``rruo_at`` to its ``sum(luo)``, summed once
-when the single-item nodes are built.  The node derives from them the
-support count and the means of ``uo`` and of ``sum(luo)``, and
+after it (``luo``).  A node stores only what the search reads, as
+columns keyed by transaction id: ``uo_at`` maps each tid to the
+pattern's own ``uo`` and ``rruo_at`` to ``sum(luo)`` of its last item,
+summed when the single-item nodes are built.  The node derives from
+them the support count and the means of ``uo`` and of ``sum(luo)``, and
 :func:`length_upper_bound` bounds its extensions from the columns, so
-the search gates and bounds patterns without touching the database.
+the search never touches the database.  Only the ``tuples`` view needs
+``luo`` itself; it recomputes it from the ``(rdb, maxlen)`` pair that
+all nodes of one build share as ``source``.
 
 Nodes are built in two places, both through the one
 :class:`PatternNode` constructor over these columns:
@@ -21,9 +22,9 @@ Nodes are built in two places, both through the one
   extending items adjacent in the mining order).  Shares add up as
   ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``, one
   dict lookup per operand and tid.  ``luo`` is inherited from the later
-  sibling unchanged, so a joined node shares that sibling's ``luo_at``
-  and ``rruo_at`` by reference: every node ending in item ``i`` reads
-  the dicts built for ``i``, which may hold more tids than the node.
+  sibling unchanged, so a joined node shares that sibling's ``rruo_at``
+  and ``source`` by reference: every node ending in item ``i`` reads
+  the dict built for ``i``, which may hold more tids than the node.
 
 Every node also carries ``bits``, the set of transactions it occurs in
 as an int bitmask.  A join intersects the operands' masks first and
@@ -39,7 +40,8 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
-from .errors import PrefixTupleMissingError
+from .errors import InvalidParamsError, PrefixTupleMissingError
+from .measures import luo_in_transaction
 
 
 class UOTuple(NamedTuple):
@@ -57,34 +59,34 @@ class PatternNode:
     and FUO-table of the pattern are both this one node.
 
     ``uo_at`` maps each supporting tid, in ascending order, to the
-    pattern's share there.  ``luo_at`` maps tids to the ``luo`` of the
-    pattern's last item and ``rruo_at`` to its ``sum(luo)``; joined
-    nodes share their last item's dicts, so these may hold tids the
-    pattern does not occur in.  Only the tids of ``uo_at`` belong to the
-    node.
+    pattern's share there.  ``rruo_at`` maps tids to ``sum(luo)`` of the
+    pattern's last item; joined nodes share their last item's dict, so
+    it may hold tids the pattern does not occur in.  Only the tids of
+    ``uo_at`` belong to the node.  ``source`` is the shared, read-only
+    ``(rdb, maxlen)`` pair the ``tuples`` view derives ``luo`` from.
 
     ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
     of the revised database, so a mask takes one bit per transaction
     whatever the tids are.
     """
 
-    __slots__ = ("pattern", "uo_at", "luo_at", "rruo_at", "sup", "uo", "bits")
+    __slots__ = ("pattern", "uo_at", "rruo_at", "sup", "uo", "bits", "source")
 
     def __init__(
         self,
         pattern: Pattern,
         uo_at: dict[int, float],
-        luo_at: dict[int, tuple[float, ...]],
         rruo_at: dict[int, float],
         bits: int,
+        source: tuple[RevisedDatabase, int],
     ) -> None:
         self.pattern = pattern
         self.uo_at = uo_at
-        self.luo_at = luo_at
         self.rruo_at = rruo_at
         self.sup = len(uo_at)
         self.uo = sum(uo_at.values()) / self.sup
         self.bits = bits
+        self.source = source
 
     @property
     def tuples(self) -> UOTupleView:
@@ -127,7 +129,7 @@ class UOTupleView:
     """A node's ``UOTuple``s in ascending tid order.
 
     ``len`` is the node's support, in constant time; each ``UOTuple`` is
-    built as iteration reaches it.
+    built as iteration reaches it, its ``luo`` recomputed from ``source``.
     """
 
     __slots__ = ("_node",)
@@ -139,9 +141,12 @@ class UOTupleView:
         return self._node.sup
 
     def __iter__(self) -> Iterator[UOTuple]:
-        luo_at = self._node.luo_at
-        for tid, uo in self._node.uo_at.items():
-            yield UOTuple(tid, uo, luo_at[tid])
+        node = self._node
+        rdb, maxlen = node.source
+        transactions = iter(rdb.transactions)  # holds the node's tids in order
+        for tid, uo in node.uo_at.items():
+            tx = next(tx for tx in transactions if tx.tid == tid)
+            yield UOTuple(tid, uo, luo_in_transaction(node.pattern[-1:], tx, rdb, maxlen))
 
 
 def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode, ...]:
@@ -153,11 +158,13 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     ``bits`` mark its positions in ``rdb.transactions``, gathered during
     the scan in a bytearray holding one bit per transaction.
     """
+    if maxlen < 1:
+        raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
     uo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
-    luo_at: dict[int, dict[int, tuple[float, ...]]] = {item: {} for item in rdb.order.items}
     rruo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
     masks = {item: bytearray((len(rdb.transactions) + 7) // 8) for item in rdb.order.items}
-    slots = max(maxlen - 1, 0)  # a negative slice bound would drop shares
+    slots = maxlen - 1
+    source = (rdb, maxlen)
 
     table = rdb.utility_table
     for k, tx in enumerate(rdb.transactions):
@@ -167,7 +174,6 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
         for item in reversed(entries):
             share = entries[item] * table[item] / tu
             uo_at[item][tid] = share
-            luo_at[item][tid] = luo
             rruo_at[item][tid] = sum(luo)
             masks[item][byte] |= bit
             luo = tuple(sorted((*luo, share), reverse=True)[:slots])
@@ -176,9 +182,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
         PatternNode(
             (item,),
             uo_at[item],
-            luo_at[item],
             rruo_at[item],
             int.from_bytes(masks[item], "little"),
+            source,
         )
         for item in rdb.order.items
     )
@@ -213,6 +219,4 @@ def construct(
             raise PrefixTupleMissingError(
                 f"prefix {prefix.pattern} has no entry for transaction {missing.args[0]}"
             ) from None
-    return PatternNode(
-        xa.pattern + (xb.pattern[-1],), uo_at, xb.luo_at, xb.rruo_at, bits
-    )
+    return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, xb.rruo_at, bits, xb.source)

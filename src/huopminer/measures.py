@@ -14,8 +14,8 @@ For a pattern ``X`` and a supporting transaction ``T``:
   ``rruo <= ruo``.
 
 These functions rescan the database on every call.  They are the slow,
-obviously-correct counterpart of the list structures in
-:mod:`huopminer.lists` and are used to cross-check them.
+obviously-correct counterpart of :mod:`huopminer.lists`, used to
+cross-check it, and the one definition of the ``luo`` its view shows.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from huopminer import (
     revise_database,
     support_counts,
 )
-from huopminer.errors import PrefixTupleMissingError
+from huopminer.errors import InvalidParamsError, PrefixTupleMissingError
 from huopminer.lists import PatternNode
 from huopminer.measures import (
     luo_in_transaction,
@@ -61,6 +61,13 @@ def test_initial_nodes_cap_one_leaves_no_room(rdb):
         assert node.fuot.rruo == 0.0
 
 
+@pytest.mark.parametrize("maxlen", [0, -1])
+def test_initial_nodes_reject_a_cap_below_one(rdb, maxlen):
+    # a cap below 1 leaves no room for the item itself
+    with pytest.raises(InvalidParamsError):
+        build_initial_nodes(rdb, maxlen)
+
+
 def test_tuple_shares_match_direct_scan(sample_db, rdb, nodes):
     by_tid = {tx.tid: tx for tx in rdb.transactions}
     for node in nodes.values():
@@ -88,19 +95,23 @@ def test_construct_two_items(sample_db, nodes):
 
 def test_tuples_view_of_a_joined_node(nodes):
     joined = construct(None, nodes["c"], nodes["a"], 3)
-    # the joined node shares a's columns, which hold more tids than it
-    assert joined.luo_at is nodes["a"].luo_at
-    assert len(joined.luo_at) > joined.sup
+    # the joined node shares a's remainder column, which holds more tids
+    # than it, and the view derives the same luo as a's for each tid
+    assert joined.rruo_at is nodes["a"].rruo_at
+    assert len(joined.rruo_at) > joined.sup
     view = joined.uonl.tuples
     assert len(view) == joined.sup == 3
     first, second = list(view), list(view)
     assert first == second
     assert [t.tid for t in first] == [1, 2, 6]
+    a_luo = {t.tid: t.luo for t in nodes["a"].uonl.tuples}
+    assert all(t.luo == a_luo[t.tid] for t in first)
 
 
 def _node(pattern, uo_at, bits):
-    """A node over hand-made columns with no room left after it."""
-    return PatternNode(pattern, uo_at, dict.fromkeys(uo_at, ()), dict.fromkeys(uo_at, 0.0), bits)
+    """A node over hand-made columns with no room left after it and no
+    database to derive its tuples from."""
+    return PatternNode(pattern, uo_at, dict.fromkeys(uo_at, 0.0), bits, None)
 
 
 def test_construct_aborts_on_disjoint_tids():
@@ -154,15 +165,18 @@ def _check_node(db, rdb, maxlen, singles, node):
         assert t.uo + sum(t.luo) <= 1.0 + 1e-9
         assert list(t.luo) == sorted(t.luo, reverse=True)
         assert t.luo == pytest.approx(luo_in_transaction(last, tx, rdb, maxlen), abs=1e-12)
+        # the one stored remainder column is the reference's sum exactly
+        assert node.rruo_at[t.tid] == sum(t.luo)
         rruo_total += rruo_in_transaction(last, tx, rdb, maxlen)
     assert node.fuot.uo == pytest.approx(uo_of_pattern(node.pattern, db), abs=1e-9)
     assert node.fuot.rruo == pytest.approx(rruo_total / node.fuot.sup, abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_databases(), st.integers(1, 4))
-def test_joins_agree_with_direct_scans(db, maxlen):
-    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+@given(small_databases(), st.integers(1, 4), st.integers(1, 2))
+def test_joins_agree_with_direct_scans(db, maxlen, min_sc):
+    # at 2 the revised database can drop items and whole transactions
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
     nodes = build_initial_nodes(rdb, maxlen)
     singles = {n.pattern: n for n in nodes}
 
