@@ -5,8 +5,8 @@ each item a positive unit utility.  The utility of item ``i`` in
 transaction ``T`` is ``quantity * unit_utility`` and the transaction
 utility ``tu`` is the sum of those products over the whole transaction.
 ``tu`` is computed once, when the database is built, and is never
-recomputed afterwards, in particular not after infrequent items are
-stripped by :func:`revise_database`.
+recomputed afterwards, in particular not where a
+:class:`RevisedDatabase` view leaves infrequent items out.
 
 Items are normalized to dense integer ids when a database is built.  Ids
 are assigned in ascending label order (numeric for all-digit labels,
@@ -17,7 +17,9 @@ of the original identifiers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidDatabaseError, InvalidParamsError, MissingUtilityError
@@ -35,12 +37,13 @@ class HUOPResult:
     uo: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One transaction: ``entries`` maps item id to quantity.
 
-    After :func:`revise_database` the entry order is meaningful (ascending
-    mining order); ``tu`` always refers to the full original transaction.
+    In ``RevisedDatabase.transactions`` the entry order is meaningful
+    (ascending mining order); ``tu`` always refers to the full original
+    transaction.
     """
 
     tid: int
@@ -78,17 +81,40 @@ class TotalOrder:
 
 @dataclass(frozen=True)
 class RevisedDatabase:
-    """A database view with infrequent items stripped and the remaining
-    entries sorted by the total order.
+    """A view of ``database`` through ``order``: infrequent items stripped,
+    the rest sorted by the order, transactions left empty dropped.
 
-    Transactions left with no frequent item are dropped from
-    ``transactions``, yet support thresholds stay relative to the size of
-    the original database.  ``tu`` values are carried over unchanged.
+    The view holds no copy.  :meth:`kept` walks the original transactions
+    and is all the initial scan reads; ``transactions``, the revised copy,
+    is built on first access only.  Support thresholds stay relative to
+    the size of the original database, and ``tu`` values are carried
+    over unchanged.
     """
 
-    transactions: tuple[Transaction, ...]
+    database: TransactionDatabase
     order: TotalOrder
-    utility_table: Mapping[int, float]
+
+    @property
+    def utility_table(self) -> Mapping[int, float]:
+        return self.database.utility_table
+
+    def kept(self) -> Iterator[tuple[Transaction, list[int]]]:
+        """Each original transaction that keeps a frequent item, with
+        those items in ascending mining order; the ``k``-th pair is the
+        ``k``-th transaction of ``transactions``."""
+        rank = self.order.rank
+        for tx in self.database.transactions:
+            items = sorted((i for i in tx.entries if i in rank), key=rank.__getitem__)
+            if items:
+                yield tx, items
+
+    @cached_property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The revised transactions, copied from the original ones."""
+        return tuple(
+            Transaction(tid=tx.tid, entries={i: tx.entries[i] for i in items}, tu=tx.tu)
+            for tx, items in self.kept()
+        )
 
 
 @dataclass(frozen=True)
@@ -212,21 +238,6 @@ def build_total_order(counts: Mapping[int, int], min_sup_count: int) -> TotalOrd
 
 
 def revise_database(db: TransactionDatabase, order: TotalOrder) -> RevisedDatabase:
-    """Strip items outside ``order`` and sort the rest by it.
-
-    ``tu`` values are kept from the original database; transactions that
-    retain no item are dropped, though they still count toward the
-    original size that support thresholds are relative to.
-    """
-    revised = []
-    for tx in db.transactions:
-        kept = sorted((i for i in tx.entries if i in order.rank), key=order.rank.__getitem__)
-        if kept:
-            revised.append(
-                Transaction(tid=tx.tid, entries={i: tx.entries[i] for i in kept}, tu=tx.tu)
-            )
-    return RevisedDatabase(
-        transactions=tuple(revised),
-        order=order,
-        utility_table=db.utility_table,
-    )
+    """View ``db`` through ``order``, copying nothing; see
+    :class:`RevisedDatabase`."""
+    return RevisedDatabase(database=db, order=order)

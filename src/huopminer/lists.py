@@ -16,8 +16,9 @@ all nodes of one build share as ``source``.
 Nodes are built in two places, both through the one
 :class:`PatternNode` constructor over these columns:
 
-* :func:`build_initial_nodes` scans the revised database once and builds
-  the single-item nodes.
+* :func:`build_initial_nodes` scans the parsed database once, through
+  the total order, and builds the single-item nodes; no revised copy of
+  the database is made.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order).  Shares add up as
   ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``, one
@@ -66,8 +67,9 @@ class PatternNode:
     ``(rdb, maxlen)`` pair the ``tuples`` view derives ``luo`` from.
 
     ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
-    of the revised database, so a mask takes one bit per transaction
-    whatever the tids are.
+    of the revised database, the ``k``-th transaction that keeps a
+    frequent item, so a mask takes one bit per transaction whatever the
+    tids are.
     """
 
     __slots__ = ("pattern", "uo_at", "rruo_at", "sup", "uo", "bits", "source")
@@ -143,7 +145,7 @@ class UOTupleView:
     def __iter__(self) -> Iterator[UOTuple]:
         node = self._node
         rdb, maxlen = node.source
-        transactions = iter(rdb.transactions)  # holds the node's tids in order
+        transactions = iter(rdb.database.transactions)  # holds the node's tids in order
         for tid, uo in node.uo_at.items():
             tx = next(tx for tx in transactions if tx.tid == tid)
             yield UOTuple(tid, uo, luo_in_transaction(node.pattern[-1:], tx, rdb, maxlen))
@@ -154,24 +156,26 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
 
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
     shares among the items after it in the same transaction: one walk
-    per transaction, last item first, keeps that top list running.  Its
-    ``bits`` mark its positions in ``rdb.transactions``, gathered during
-    the scan in a bytearray holding one bit per transaction.
+    per transaction, last item first, keeps that top list running.  The
+    scan reads the original transactions through ``rdb.kept()``, so
+    ``rdb.transactions`` is never built.  Each item's ``bits`` mark its
+    positions in the revised database, gathered during the scan in a
+    bytearray holding one bit per transaction.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
     uo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
     rruo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
-    masks = {item: bytearray((len(rdb.transactions) + 7) // 8) for item in rdb.order.items}
+    masks = {item: bytearray((rdb.database.size + 7) // 8) for item in rdb.order.items}
     slots = maxlen - 1
     source = (rdb, maxlen)
 
     table = rdb.utility_table
-    for k, tx in enumerate(rdb.transactions):
+    for k, (tx, items) in enumerate(rdb.kept()):
         byte, bit = k >> 3, 1 << (k & 7)
         tid, tu, entries = tx.tid, tx.tu, tx.entries
         luo: tuple[float, ...] = ()
-        for item in reversed(entries):
+        for item in reversed(items):
             share = entries[item] * table[item] / tu
             uo_at[item][tid] = share
             rruo_at[item][tid] = sum(luo)

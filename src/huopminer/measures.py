@@ -16,6 +16,10 @@ For a pattern ``X`` and a supporting transaction ``T``:
 These functions rescan the database on every call.  They are the slow,
 obviously-correct counterpart of :mod:`huopminer.lists`, used to
 cross-check it, and the one definition of the ``luo`` its view shows.
+The per-transaction ``ruo``, ``luo`` and ``rruo`` skip items outside the
+mining order and take the rest in ascending rank, so an original
+transaction gives exactly what its revised counterpart gives: the
+``tuples`` view reads the parsed database, no revised copy.
 """
 
 from __future__ import annotations
@@ -67,11 +71,8 @@ def _tail_occupancies(pattern: tuple[int, ...], tx: Transaction, rdb: RevisedDat
     rank = rdb.order.rank
     last = max(rank[i] for i in pattern)
     table = rdb.utility_table
-    return [
-        tx.entries[i] * table[i] / tx.tu
-        for i in tx.entries
-        if rank[i] > last
-    ]
+    tail = sorted((i for i in tx.entries if rank.get(i, -1) > last), key=rank.__getitem__)
+    return [tx.entries[i] * table[i] / tx.tu for i in tail]
 
 
 def ruo_in_transaction(pattern: Iterable[int], tx: Transaction, rdb: RevisedDatabase) -> float:

@@ -1,5 +1,6 @@
 """Database model: tu computation, support counts, ordering, revision."""
 
+import dataclasses
 import math
 
 import pytest
@@ -93,6 +94,28 @@ def test_revision_strips_infrequent_but_tu_stays():
     t1 = transaction(rdb, 1)
     assert db.labels_of(t1.entries) == ("a",)
     assert t1.tu == 52  # the stripped item still counts toward tu
+
+
+def test_revision_is_a_view_of_the_database(sample_db):
+    # revising copies nothing up front: the view keeps the parsed
+    # database and builds its revised transactions on first access only
+    order = build_total_order(support_counts(sample_db), 3)
+    rdb = revise_database(sample_db, order)
+    assert rdb.database is sample_db
+    assert rdb.order is order
+    assert rdb.utility_table is sample_db.utility_table
+    assert "transactions" not in vars(rdb)
+    assert rdb.transactions is rdb.transactions
+    assert [tx for tx, _ in rdb.kept()] == list(sample_db.transactions)
+
+
+def test_transaction_is_slotted_and_frozen():
+    tx = Transaction(tid=1, entries={0: 2}, tu=4.0)
+    assert not hasattr(tx, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.tu = 5.0
+    assert tx == Transaction(1, {0: 2}, 4.0)
+    assert tx != Transaction(1, {0: 2}, 5.0)
 
 
 def test_revision_drops_empty_transactions_not_size():

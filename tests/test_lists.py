@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import ids_of, small_databases
 from huopminer import (
+    build_database,
     build_initial_nodes,
     build_total_order,
     construct,
@@ -66,6 +67,29 @@ def test_initial_nodes_reject_a_cap_below_one(rdb, maxlen):
     # a cap below 1 leaves no room for the item itself
     with pytest.raises(InvalidParamsError):
         build_initial_nodes(rdb, maxlen)
+
+
+def test_initial_nodes_build_no_revised_copy(sample_db):
+    # the scan and the tuples view both read the parsed database through
+    # the order; neither builds the revised transactions
+    rdb = revise_database(sample_db, build_total_order(support_counts(sample_db), 3))
+    for node in build_initial_nodes(rdb, 3):
+        assert len(list(node.uonl.tuples)) == node.fuot.sup
+    assert "transactions" not in vars(rdb)
+
+
+def test_initial_bits_number_kept_positions():
+    # tid 2 holds only the infrequent z and drops out of the revised
+    # database, so tid 3 sits at position 1
+    db = build_database(
+        [(1, {"a": 1, "b": 1}), (2, {"z": 3}), (3, {"a": 2, "b": 1})],
+        {"a": 1, "b": 1, "z": 1},
+    )
+    rdb = revise_database(db, build_total_order(support_counts(db), 2))
+    nodes = {db.labels_of(n.pattern)[0]: n for n in build_initial_nodes(rdb, 3)}
+    assert nodes["a"].bits == 0b11
+    assert nodes["b"].bits == 0b11
+    assert list(nodes["a"].uo_at) == [1, 3]
 
 
 def test_tuple_shares_match_direct_scan(sample_db, rdb, nodes):

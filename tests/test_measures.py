@@ -1,11 +1,13 @@
 """Occupancy measures checked against hand-computed fractions from the
 sample rows, plus the structural inequalities they must satisfy."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import db_and_supported_pattern, ids_of, transaction
+from helpers import db_and_supported_pattern, ids_of, small_databases, transaction
 from huopminer import build_database, build_total_order, revise_database, support_counts
 from huopminer.errors import PatternNotSupportedError, ZeroSupportError
 from huopminer.measures import (
@@ -153,3 +155,27 @@ def test_measure_invariants(db_pattern, extra_room):
         assert len(luo) <= maxlen - len(pattern)
         assert list(luo) == sorted(luo, reverse=True)
         assert rruo_in_transaction(pattern, tx, rdb, maxlen) <= ruo_t + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 4))
+def test_measures_agree_on_original_and_revised_transactions(db, maxlen):
+    # at threshold 2 revision drops items and whole transactions; the
+    # tail measures skip items outside the order, so the original
+    # transaction gives exactly what its revised counterpart gives
+    rdb = revise_database(db, build_total_order(support_counts(db), 2))
+    original = {tx.tid: tx for tx in db.transactions}
+    for revised in rdb.transactions:
+        tx = original[revised.tid]
+        items = list(revised.entries)
+        for size in range(1, min(len(items), maxlen) + 1):
+            for pattern in combinations(items, size):
+                assert ruo_in_transaction(pattern, tx, rdb) == ruo_in_transaction(
+                    pattern, revised, rdb
+                )
+                assert luo_in_transaction(pattern, tx, rdb, maxlen) == luo_in_transaction(
+                    pattern, revised, rdb, maxlen
+                )
+                assert rruo_in_transaction(pattern, tx, rdb, maxlen) == rruo_in_transaction(
+                    pattern, revised, rdb, maxlen
+                )
