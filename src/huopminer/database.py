@@ -8,8 +8,8 @@ utility ``tu`` is the sum of those products over the whole transaction.
 recomputed afterwards, in particular not where a
 :class:`RevisedDatabase` view leaves infrequent items out.
 
-Items are normalized to dense integer ids when a database is built.  Ids
-are assigned in ascending label order (numeric for all-digit labels,
+Each label of the utility table gets a dense integer id when a database
+is built, in ascending label order (numeric for all-digit labels,
 lexicographic otherwise), so comparing ids reproduces the natural order
 of the original identifiers.
 """
@@ -166,27 +166,25 @@ def build_database(
 ) -> TransactionDatabase:
     """Assemble a database from ``(tid, {label: quantity})`` rows.
 
-    Labels are coerced to strings and mapped to dense ids in ascending
-    label order; each row is then copied once, into its id-keyed
-    transaction.  Every observed item needs a positive, finite unit
-    utility, checked first; tids must be positive and strictly
+    Every entry of ``utilities`` is an item: its unit utility must be
+    positive and finite, and its label, coerced to a string, gets a dense
+    id in ascending label order, whether or not a row lists it.  ``rows``
+    is then read once, each row converted to its id-keyed transaction as
+    it arrives, so errors come in row order.  Each row's items need an
+    entry in ``utilities``; tids must be positive and strictly
     increasing, quantities positive, the items of a row distinct after
     coercion and transaction utilities finite.
     """
-    rows = list(rows)
-    util = {str(k): v for k, v in utilities.items()}
-
-    labels = tuple(sorted({str(k) for _, entries in rows for k in entries}, key=_label_key))
-    for label in labels:
-        if label not in util:
-            raise MissingUtilityError(label)
-        if not 0 < util[label] < math.inf:
+    util: dict[str, float] = {}
+    for key, eu in utilities.items():
+        if not 0 < eu < math.inf:
             raise InvalidDatabaseError(
-                f"unit utility for item {label!r} must be positive and finite, got {util[label]!r}"
+                f"unit utility for item {str(key)!r} must be positive and finite, got {eu!r}"
             )
-
+        util[str(key)] = float(eu)
+    labels = tuple(sorted(util, key=_label_key))
     ids = {label: i for i, label in enumerate(labels)}
-    table = {ids[label]: float(util[label]) for label in labels}
+    table = {i: util[label] for i, label in enumerate(labels)}
 
     transactions = []
     last_tid = 0
@@ -199,11 +197,13 @@ def build_database(
         by_id: dict[int, float] = {}
         tu = 0.0
         for label, qty in entries.items():
+            item = ids.get(str(label))
+            if item is None:
+                raise MissingUtilityError(str(label))
             if not qty > 0:  # also rejects nan
                 raise InvalidDatabaseError(
                     f"quantity for item {str(label)!r} in transaction {tid} must be positive, got {qty!r}"
                 )
-            item = ids[str(label)]
             by_id[item] = qty
             try:
                 tu += qty * table[item]

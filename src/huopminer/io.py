@@ -15,9 +15,11 @@ Two text formats are supported, both UTF-8 text whose lines end where
 
 * quantity-profit pairs, a transactions file of ``item:quantity`` pairs
   plus a profit file of ``item unit_utility`` lines.  ``#`` starts a
-  comment line and blank lines are skipped in both files.
+  comment line and blank lines are skipped in both files.  Every profit
+  line is an item; one that no transaction lists changes no answer.
 
-Transaction ids are assigned 1-based in file order.
+Transaction ids are assigned 1-based in file order, and errors are
+reported in file order too.
 """
 
 from __future__ import annotations
@@ -116,7 +118,11 @@ def parse_spmf_utility(source) -> TransactionDatabase:
 
 
 def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
-    """Parse a quantity file and its profit table into a database."""
+    """Parse a quantity file and its profit table into a database.
+
+    The profit file is read first, each line an item.  The quantity file
+    then streams into :func:`build_database` one line at a time.
+    """
     utilities: dict[str, float] = {}
     for no, line in _data_lines(profit_source, allow_comments=True):
         fields = line.split()
@@ -133,31 +139,29 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             raise DatasetFormatError(f"unit utility for item {label!r} must be positive and finite", no)
         utilities[label] = eu
 
-    rows = []
-    tid = 0
-    for no, line in _data_lines(tx_source, allow_comments=True):
-        entries: dict[str, int] = {}
-        for pair in line.split():
-            label, sep, qty_text = pair.rpartition(":")
-            if not sep or not label:
-                raise DatasetFormatError(f"expected 'item:quantity', got {pair!r}", no)
-            if label in entries:
-                raise DatasetFormatError(f"duplicate item {label!r}", no)
-            try:
-                qty = int(qty_text)
-            except ValueError:
-                raise DatasetFormatError(f"bad quantity {qty_text!r} for item {label!r}", no) from None
-            if qty < 1:
-                raise DatasetFormatError(
-                    f"quantity for item {label!r} must be a positive integer, got {qty}", no
-                )
-            if label not in utilities:
-                raise DatasetFormatError(f"item {label!r} has no profit entry", no)
-            entries[sys.intern(label)] = qty
-        tid += 1
-        rows.append((tid, entries))
+    def rows() -> Iterator[tuple[int, dict[str, int]]]:
+        for tid, (no, line) in enumerate(_data_lines(tx_source, allow_comments=True), start=1):
+            entries: dict[str, int] = {}
+            for pair in line.split():
+                label, sep, qty_text = pair.rpartition(":")
+                if not sep or not label:
+                    raise DatasetFormatError(f"expected 'item:quantity', got {pair!r}", no)
+                if label in entries:
+                    raise DatasetFormatError(f"duplicate item {label!r}", no)
+                try:
+                    qty = int(qty_text)
+                except ValueError:
+                    raise DatasetFormatError(f"bad quantity {qty_text!r} for item {label!r}", no) from None
+                if qty < 1:
+                    raise DatasetFormatError(
+                        f"quantity for item {label!r} must be a positive integer, got {qty}", no
+                    )
+                if label not in utilities:
+                    raise DatasetFormatError(f"item {label!r} has no profit entry", no)
+                entries[label] = qty
+            yield tid, entries
 
-    return build_database(rows, utilities)
+    return build_database(rows(), utilities)
 
 
 # ---------------------------------------------------------------------------

@@ -23,22 +23,20 @@ from .measures import uo_of_pattern
 DEFAULT_MAX_ITEMS = 25
 
 
-def _guard(db: TransactionDatabase, max_items: int) -> None:
-    if len(db.item_labels) > max_items:
-        raise OracleGuardError(
-            f"{len(db.item_labels)} items exceed the enumeration cap of {max_items}; "
-            "raise max_items to force the run"
-        )
-
-
-def _enumerate(db: TransactionDatabase, max_len: int, min_sc: int):
+def _enumerate(db: TransactionDatabase, max_len: int, min_sc: int, max_items: int):
     """Depth-first enumeration over the support-ascending item order.
 
     Yields ``(pattern, tids)`` for every itemset of length <= max_len
     whose support count reaches ``min_sc``; extensions of a failing
     itemset are skipped, support only shrinks when items are added.
+    Refuses databases in which more than ``max_items`` items occur.
     """
     counts = support_counts(db)
+    if len(counts) > max_items:
+        raise OracleGuardError(
+            f"{len(counts)} items exceed the enumeration cap of {max_items}; "
+            "raise max_items to force the run"
+        )
     order = build_total_order(counts, min_sc)
     tidsets = {item: set() for item in order.items}
     for tx in db.transactions:
@@ -70,8 +68,7 @@ def enumerate_supported(
 ) -> list[tuple[Pattern, int]]:
     """Every itemset with at least one supporting transaction, up to
     ``max_len`` items, with its support count."""
-    _guard(db, max_items)
-    return [(pattern, len(tids)) for pattern, tids in _enumerate(db, max_len, 1)]
+    return [(pattern, len(tids)) for pattern, tids in _enumerate(db, max_len, 1, max_items)]
 
 
 def brute_force_mine(
@@ -82,10 +79,9 @@ def brute_force_mine(
     Same result type, same sort order (length, then mining-order
     position), every measure recomputed from raw quantities.
     """
-    _guard(db, max_items)
     min_sc = min_support_count(params.alpha, db.size)
     results = []
-    for pattern, tids in _enumerate(db, params.maxlen, min_sc):
+    for pattern, tids in _enumerate(db, params.maxlen, min_sc, max_items):
         if len(pattern) < params.minlen:
             continue
         uo = uo_of_pattern(pattern, db)

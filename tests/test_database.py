@@ -201,6 +201,26 @@ def test_build_database_rejects_bad_rows():
         build_database([(1, {"a": 10**400, "b": 1})], {"a": 1, "b": 1})
 
 
+def test_build_database_numbers_and_checks_every_utility_entry():
+    # an entry that no row lists is still an item: it gets an id in label
+    # order, and a bad unit utility for it is refused
+    db = build_database([(1, {"b": 2})], {"c": 1, "b": 3, "a": 5})
+    assert db.item_labels == ("a", "b", "c")
+    assert db.transactions[0].entries == {1: 2}
+    assert db.transactions[0].tu == 6
+    for bad in (0, -1, math.nan, math.inf):
+        with pytest.raises(InvalidDatabaseError, match="'z'"):
+            build_database([(1, {"a": 1})], {"a": 1, "z": bad})
+
+
+def test_build_database_reports_errors_in_row_order():
+    # the rows are read once, so the first bad row is the one reported
+    with pytest.raises(MissingUtilityError, match="'b'"):
+        build_database([(1, {"b": 1}), (1, {"a": 1})], {"a": 1})
+    with pytest.raises(InvalidDatabaseError, match="strictly increasing"):
+        build_database([(1, {"a": 1}), (1, {"b": 1})], {"a": 1})
+
+
 def test_build_database_rejects_a_label_given_twice():
     # 1 and "1" are one label once coerced to text
     with pytest.raises(InvalidDatabaseError, match="transaction 2 lists an item twice"):

@@ -17,7 +17,7 @@ from huopminer import (
     write_results,
     write_stats_csv,
 )
-from huopminer.errors import DatasetConsistencyError, DatasetFormatError
+from huopminer.errors import DatasetConsistencyError, DatasetFormatError, InvalidDatabaseError
 from huopminer.oracle import brute_force_mine
 
 # The sample rows in the two text encodings.  In the utility-list lines
@@ -111,6 +111,37 @@ def test_parse_error_reports_line_number(tmp_path):
     with pytest.raises(DatasetFormatError) as err:
         parse_quantity_profit(tx_path, profit_path)
     assert "line 3" in str(err.value)
+
+
+def test_parse_errors_come_in_file_order():
+    # line 1 overflows its transaction utility and line 3 is malformed:
+    # the file streams into the database, so line 1 is reported
+    text = "a:1" + "0" * 400 + "\na:2\na:0\n"
+    with pytest.raises(InvalidDatabaseError, match="utility of transaction 1 is not finite"):
+        parse_quantity_profit(stdio.StringIO(text), stdio.StringIO(SAMPLE_PROFIT_FILE))
+
+
+def test_unused_profit_entries_change_no_answer(tmp_path):
+    # the extra labels sort before, between and after the listed ones,
+    # so every listed item's id moves but not its relative order
+    padded_profits = SAMPLE_PROFIT_FILE + "0 7\nbb 2\nzz 4\n"
+    padded = parse_quantity_profit(stdio.StringIO(SAMPLE_QTY), stdio.StringIO(padded_profits))
+    assert padded.item_labels == ("0", "a", "b", "bb", "c", "d", "e", "zz")
+    plain = qty_db()
+    for params in (MiningParams(0.3, 0.3, 1, 3), MiningParams(0.1, 0.1, 1, 5)):
+        for name, db in (("plain", plain), ("padded", padded)):
+            results, _ = mine(db, params)
+            write_results(results, db, tmp_path / f"{name}.out")
+        assert (tmp_path / "plain.out").read_bytes() == (tmp_path / "padded.out").read_bytes()
+    # the unused entries survive a round trip through the writer
+    tx_path = tmp_path / "padded.qty"
+    profit_path = tmp_path / "padded.profit"
+    write_quantity_profit(padded, tx_path, profit_path)
+    back = parse_quantity_profit(tx_path, profit_path)
+    assert back.item_labels == padded.item_labels
+    assert back.utility_table == padded.utility_table
+    assert [tx.entries for tx in back.transactions] == [tx.entries for tx in padded.transactions]
+    assert [tx.tu for tx in back.transactions] == [tx.tu for tx in padded.transactions]
 
 
 def test_leading_byte_order_mark_is_skipped(tmp_path):

@@ -77,3 +77,10 @@ def test_guard_refuses_wide_vocabularies():
     # explicit override runs anyway
     assert len(enumerate_supported(db, 1, max_items=30)) == 26
 
+    # only items that occur count: 5 of them plus 30 unused utility
+    # entries run under the default cap
+    utilities = {f"i{n}": 1 for n in range(35)}
+    narrow = build_database([(1, {f"i{n}": 1 for n in range(5)})], utilities)
+    assert len(narrow.item_labels) == 35
+    assert len(enumerate_supported(narrow, 5)) == 31
+    assert len(brute_force_mine(narrow, MiningParams(1.0, 0.2, 1, 5))) == 31
