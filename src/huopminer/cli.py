@@ -102,6 +102,8 @@ def _check_flags(args: argparse.Namespace) -> None:
             )
     if getattr(args, "threads", None) is not None and args.threads < 1:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
+    if getattr(args, "max_items", None) is not None and args.max_items < 1:
+        raise InputError(f"--max-items must be >= 1, got {args.max_items}")
     if getattr(args, "format", None) == "qty" and not args.profit:
         raise InputError("--profit is required with --format qty")
     if getattr(args, "format", None) == "spmf" and args.profit:

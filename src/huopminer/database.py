@@ -99,21 +99,29 @@ class RevisedDatabase:
         return self.database.utility_table
 
     def kept(self) -> Iterator[tuple[Transaction, list[int]]]:
-        """Each original transaction that keeps a frequent item, with
-        those items in ascending mining order; the ``k``-th pair is the
-        ``k``-th transaction of ``transactions``."""
+        """Each original transaction that keeps a frequent item, with the
+        ranks of those items, ascending: the frequent item of rank ``r``
+        is ``order.items[r]``.  This alone decides which transactions
+        survive revision; the ``k``-th pair is the ``k``-th transaction
+        of ``transactions``."""
         rank = self.order.rank
         for tx in self.database.transactions:
-            items = sorted((i for i in tx.entries if i in rank), key=rank.__getitem__)
-            if items:
-                yield tx, items
+            ranks = [rank[i] for i in tx.entries if i in rank]
+            if ranks:
+                ranks.sort()
+                yield tx, ranks
 
     @cached_property
     def transactions(self) -> tuple[Transaction, ...]:
         """The revised transactions, copied from the original ones."""
+        items = self.order.items
         return tuple(
-            Transaction(tid=tx.tid, entries={i: tx.entries[i] for i in items}, tu=tx.tu)
-            for tx, items in self.kept()
+            Transaction(
+                tid=tx.tid,
+                entries={i: tx.entries[i] for i in map(items.__getitem__, ranks)},
+                tu=tx.tu,
+            )
+            for tx, ranks in self.kept()
         )
 
 
@@ -172,16 +180,19 @@ def build_database(
     is then read once, each row converted to its id-keyed transaction as
     it arrives, so errors come in row order.  Each row's items need an
     entry in ``utilities``; tids must be positive and strictly
-    increasing, quantities positive, the items of a row distinct after
-    coercion and transaction utilities finite.
+    increasing, quantities positive, the labels of the table and of each
+    row distinct after coercion and transaction utilities finite.
     """
     util: dict[str, float] = {}
     for key, eu in utilities.items():
+        label = str(key)
         if not 0 < eu < math.inf:
             raise InvalidDatabaseError(
-                f"unit utility for item {str(key)!r} must be positive and finite, got {eu!r}"
+                f"unit utility for item {label!r} must be positive and finite, got {eu!r}"
             )
-        util[str(key)] = float(eu)
+        if label in util:  # keys such as 1 and "1" name one item
+            raise InvalidDatabaseError(f"the utility table lists item {label!r} twice")
+        util[label] = float(eu)
     labels = tuple(sorted(util, key=_label_key))
     ids = {label: i for i, label in enumerate(labels)}
     table = {i: util[label] for i, label in enumerate(labels)}

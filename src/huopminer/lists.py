@@ -17,8 +17,8 @@ Nodes are built in two places, both through the one
 :class:`PatternNode` constructor over these columns:
 
 * :func:`build_initial_nodes` scans the parsed database once, through
-  the total order, and builds the single-item nodes; no revised copy of
-  the database is made.
+  the ranks of the total order, and builds the single-item nodes; no
+  revised copy of the database is made.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order).  Shares add up as
   ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``, one
@@ -98,8 +98,7 @@ class PatternNode:
     @property
     def rruo(self) -> float:
         """Mean ``sum(luo)``: the remaining occupancy under the length cap."""
-        rruo_at = self.rruo_at
-        return sum(rruo_at[tid] for tid in self.uo_at) / self.sup
+        return sum(map(self.rruo_at.__getitem__, self.uo_at)) / self.sup
 
     @property
     def uonl(self) -> PatternNode:
@@ -155,42 +154,49 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     """Build the single-item nodes in one pass, returned in mining order.
 
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
-    shares among the items after it in the same transaction: one walk
-    per transaction, last item first, keeps that top list running.  The
-    scan reads the original transactions through ``rdb.kept()``, so
-    ``rdb.transactions`` is never built.  Each item's ``bits`` mark its
-    positions in the revised database, gathered during the scan in a
-    bytearray holding one bit per transaction.
+    shares among the items after it in the same transaction.  The scan
+    reads ``rdb.kept()``, so ``rdb.transactions`` is never built, keeps
+    its columns in lists indexed by rank and walks each transaction's
+    ranks last first.  The top shares seen so far are a short
+    descending list, appended to while it has room, else its smallest
+    entry replaced by a larger share; it is re-sorted and re-summed,
+    largest first, only when it changes.  Each item's ``bits`` mark its
+    positions in the revised database, gathered in a bytearray holding
+    one bit per transaction.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
-    uo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
-    rruo_at: dict[int, dict[int, float]] = {item: {} for item in rdb.order.items}
-    masks = {item: bytearray((rdb.database.size + 7) // 8) for item in rdb.order.items}
+    items = rdb.order.items
+    unit = [rdb.utility_table[item] for item in items]
+    uo_at: list[dict[int, float]] = [{} for _ in items]
+    rruo_at: list[dict[int, float]] = [{} for _ in items]
+    masks = [bytearray((rdb.database.size + 7) // 8) for _ in items]
     slots = maxlen - 1
     source = (rdb, maxlen)
 
-    table = rdb.utility_table
-    for k, (tx, items) in enumerate(rdb.kept()):
+    for k, (tx, ranks) in enumerate(rdb.kept()):
         byte, bit = k >> 3, 1 << (k & 7)
         tid, tu, entries = tx.tid, tx.tu, tx.entries
-        luo: tuple[float, ...] = ()
-        for item in reversed(items):
-            share = entries[item] * table[item] / tu
-            uo_at[item][tid] = share
-            rruo_at[item][tid] = sum(luo)
-            masks[item][byte] |= bit
-            luo = tuple(sorted((*luo, share), reverse=True)[:slots])
+        top: list[float] = []
+        rest = 0.0
+        for r in reversed(ranks):
+            share = entries[items[r]] * unit[r] / tu
+            uo_at[r][tid] = share
+            rruo_at[r][tid] = rest
+            masks[r][byte] |= bit
+            if len(top) < slots:
+                top.append(share)
+            elif top and share > top[-1]:
+                top[-1] = share
+            else:
+                continue
+            if len(top) > 1 and share > top[-2]:  # only the new entry can be out of place
+                top.sort(reverse=True)
+            rest = sum(top)
 
     return tuple(
-        PatternNode(
-            (item,),
-            uo_at[item],
-            rruo_at[item],
-            int.from_bytes(masks[item], "little"),
-            source,
-        )
-        for item in rdb.order.items
+        PatternNode((item,), uo_at[r], rruo_at[r], int.from_bytes(masks[r], "little"), source)
+        for r, item in enumerate(items)
     )
 
 

@@ -7,10 +7,15 @@ a join returns ``None`` when infrequent, and is reported if it qualifies.
 A node already ``maxlen`` long ends its branch before any bound or join.
 Below the cap a subtree is explored only when :func:`length_upper_bound`,
 built on the capped ``luo`` lists, says an extension could still reach
-the occupancy threshold.  Occupancy is not anti-monotone and never
-prunes; ``minlen`` only filters what is reported.  The walk reads only
-a node's summary, ``pattern``, ``sup`` and ``uo``: :mod:`huopminer.lists`
-builds, joins and bounds the nodes over their occupancy columns.
+the occupancy threshold.  That bound sorts the node's column, so two
+cheaper lower bounds on it come first, ``uo`` and ``uo + rruo`` (the
+mean of ``uo + sum(luo)`` over all the node's tids): a node with either
+at ``minuo`` is kept unsorted.  With ``bound_log`` every node below the
+cap is bounded and logged, and pruned by the same rule.  Occupancy is not
+anti-monotone and never prunes; ``minlen`` only filters what is
+reported.  The walk reads only a node's summary, ``pattern``, ``sup``,
+``uo`` and ``rruo``: :mod:`huopminer.lists` builds, joins and bounds the
+nodes over their occupancy columns.
 """
 
 from __future__ import annotations
@@ -64,21 +69,28 @@ def search_subtree(
     relative to the original database size at every depth.  One stack
     frame per depth keeps only the current path's extension lists alive.
     """
+    beta = params.beta
     stack = [(None, exten, enumerate(exten))]
     while stack:
         prefix, exten, siblings = stack[-1]
         for pos, xa in siblings:
             stats.visited_nodes += 1
-            if xa.uo >= params.beta and len(xa.pattern) >= params.minlen:
+            if xa.uo >= beta and len(xa.pattern) >= params.minlen:
                 results.append(HUOPResult(pattern=xa.pattern, sup=xa.sup, uo=xa.uo))
             if len(xa.pattern) == params.maxlen:
                 continue
-            bound = length_upper_bound(xa, min_sc)
+            bound = None
             if bound_log is not None:
+                bound = length_upper_bound(xa, min_sc)
                 bound_log.append((xa.pattern, bound))
-            if bound < params.beta:
-                stats.lub_prunes += 1
-                continue
+            # uo <= uo + rruo <= the bound, so a node passing either
+            # pre-check is kept without sorting; only the rest are bounded
+            if xa.uo < beta and xa.uo + xa.rruo < beta:
+                if bound is None:
+                    bound = length_upper_bound(xa, min_sc)
+                if bound < beta:
+                    stats.lub_prunes += 1
+                    continue
             sub_exten: list[PatternNode] = []
             for xb in exten[pos + 1 :]:
                 stats.constructions += 1

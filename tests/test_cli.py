@@ -165,6 +165,18 @@ def test_verify_max_items_caps_the_oracle(dataset, capsys):
     assert capsys.readouterr().out.strip() == "MATCH: 18 patterns"
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_verify_rejects_a_max_items_below_one_before_io(tmp_path, capsys, cap):
+    missing = tmp_path / "does-not-exist.qty"
+    code = cli.main([
+        "verify", "--input", str(missing), "--format", "qty", "--profit", str(missing),
+        "--minsup", "0.3", "--minuo", "0.3", "--max-items", cap,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --max-items must be >= 1, got {cap}\n"  # before any read
+
+
 def test_internal_error_exits_1_with_traceback(dataset, monkeypatch, capsys):
     def broken_mine(db, params):
         raise RuntimeError("engine fault")

@@ -227,6 +227,13 @@ def test_build_database_rejects_a_label_given_twice():
         build_database([(1, {"1": 1}), (2, {1: 2, "1": 3})], {"1": 1})
 
 
+def test_build_database_rejects_a_utility_label_given_twice():
+    # 1 and "1" coerce to one label: neither unit utility may win silently
+    for table in ({1: 5.0, "1": 3.0}, {"1": 3.0, 1: 5.0}):
+        with pytest.raises(InvalidDatabaseError, match="lists item '1' twice"):
+            build_database([(1, {"1": 2})], table)
+
+
 def test_sample_shape(sample_db):
     assert sample_db.size == len(SAMPLE_ROWS) == 10
     assert sample_db.item_labels == ("a", "b", "c", "d", "e")

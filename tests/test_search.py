@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import GOLDEN_18, ids_of, joined_labels, results_by_label, small_databases
 from huopminer import (
@@ -268,3 +269,28 @@ def test_visited_nodes_monotone_in_cap(db):
         if previous is not None:
             assert stats.visited_nodes >= previous
         previous = stats.visited_nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 6), st.floats(0.01, 1.0))
+def test_bound_pre_checks_decide_as_the_logged_bound(db, maxlen, beta):
+    # the log bounds every node below the cap, the unlogged walk only the
+    # nodes neither uo nor uo + rruo keeps; both prune by the same rule
+    params = MiningParams(0.25, beta, 1, maxlen)
+    bounded = []
+
+    def counting(node, min_sc):
+        bounded.append(node)
+        return length_upper_bound(node, min_sc)
+
+    log = []
+    logged, logged_stats = mine(db, params, bound_log=log)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "length_upper_bound", counting)
+        unlogged, stats = mine(db, params)
+    assert unlogged == logged
+    counters = ("visited_nodes", "constructions", "early_aborts", "lub_prunes")
+    assert [getattr(stats, c) for c in counters] == [getattr(logged_stats, c) for c in counters]
+    assert len(bounded) <= len(log)
+    for node in bounded:
+        assert node.uo < beta and node.uo + node.rruo < beta
