@@ -25,44 +25,55 @@ transaction gives exactly what its revised counterpart gives: the
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .database import Pattern, RevisedDatabase, Transaction, TransactionDatabase
 from .errors import PatternNotSupportedError, ZeroSupportError
 
 
-def _pattern_utility(pattern: Iterable[int], tx: Transaction, table: Mapping[int, float]) -> float:
-    total = 0.0
-    for item in pattern:
-        if item not in tx.entries:
-            raise PatternNotSupportedError(
-                f"transaction {tx.tid} does not contain item {item}"
-            )
-        total += tx.entries[item] * table[item]
-    return total
+def _supports(pattern: Pattern, tx: Transaction) -> bool:
+    return all(map(tx.entries.__contains__, pattern))
 
 
-def _supports(pattern: Iterable[int], tx: Transaction) -> bool:
-    return all(item in tx.entries for item in pattern)
+def _checked_pattern(pattern: Iterable[int], tx: Transaction) -> Pattern:
+    """``pattern`` as a tuple, once ``tx`` is known to contain it."""
+    pattern = tuple(pattern)
+    if not _supports(pattern, tx):
+        raise PatternNotSupportedError(f"transaction {tx.tid} does not contain {pattern}")
+    return pattern
 
 
-def uo_in_transaction(pattern: Iterable[int], tx: Transaction, table: Mapping[int, float]) -> float:
-    """Utility share of ``pattern`` within one supporting transaction."""
-    return _pattern_utility(pattern, tx, table) / tx.tu
-
-
-def uo_of_pattern(pattern: Iterable[int], db: TransactionDatabase) -> float:
-    """Mean utility share over all transactions containing ``pattern``."""
+def _mean(
+    pattern: Iterable[int],
+    transactions: Iterable[Transaction],
+    measure: Callable[..., float],
+    *args: object,
+) -> float:
+    """Mean of ``measure(pattern, tx, *args)`` over the transactions that
+    contain ``pattern``, summed left to right in database order."""
     pattern = tuple(pattern)
     total = 0.0
     count = 0
-    for tx in db.transactions:
+    for tx in transactions:
         if _supports(pattern, tx):
-            total += uo_in_transaction(pattern, tx, db.utility_table)
+            total += measure(pattern, tx, *args)
             count += 1
     if count == 0:
         raise ZeroSupportError(f"no transaction contains pattern {pattern}")
     return total / count
+
+
+def uo_in_transaction(pattern: Iterable[int], tx: Transaction, table: Mapping[int, float]) -> float:
+    """Utility share of ``pattern`` within one supporting transaction."""
+    total = 0.0
+    for item in _checked_pattern(pattern, tx):
+        total += tx.entries[item] * table[item]
+    return total / tx.tu
+
+
+def uo_of_pattern(pattern: Iterable[int], db: TransactionDatabase) -> float:
+    """Mean utility share over all transactions containing ``pattern``."""
+    return _mean(pattern, db.transactions, uo_in_transaction, db.utility_table)
 
 
 def _tail_occupancies(pattern: tuple[int, ...], tx: Transaction, rdb: RevisedDatabase) -> list[float]:
@@ -77,24 +88,12 @@ def _tail_occupancies(pattern: tuple[int, ...], tx: Transaction, rdb: RevisedDat
 
 def ruo_in_transaction(pattern: Iterable[int], tx: Transaction, rdb: RevisedDatabase) -> float:
     """Utility share of everything after ``pattern`` in one transaction."""
-    pattern = tuple(pattern)
-    if not _supports(pattern, tx):
-        raise PatternNotSupportedError(f"transaction {tx.tid} does not contain {pattern}")
-    return sum(_tail_occupancies(pattern, tx, rdb))
+    return sum(_tail_occupancies(_checked_pattern(pattern, tx), tx, rdb))
 
 
 def ruo_of_pattern(pattern: Iterable[int], rdb: RevisedDatabase) -> float:
     """Mean remaining utility share over supporting transactions."""
-    pattern = tuple(pattern)
-    total = 0.0
-    count = 0
-    for tx in rdb.transactions:
-        if _supports(pattern, tx):
-            total += ruo_in_transaction(pattern, tx, rdb)
-            count += 1
-    if count == 0:
-        raise ZeroSupportError(f"no transaction contains pattern {pattern}")
-    return total / count
+    return _mean(pattern, rdb.transactions, ruo_in_transaction, rdb)
 
 
 def luo_in_transaction(
@@ -106,8 +105,7 @@ def luo_in_transaction(
     slots = maxlen - len(pattern)
     if slots < 0:
         raise ValueError(f"pattern longer than maxlen: {len(pattern)} > {maxlen}")
-    if not _supports(pattern, tx):
-        raise PatternNotSupportedError(f"transaction {tx.tid} does not contain {pattern}")
+    _checked_pattern(pattern, tx)
     if slots == 0:
         return ()
     return tuple(heapq.nlargest(slots, _tail_occupancies(pattern, tx, rdb)))
@@ -122,13 +120,4 @@ def rruo_in_transaction(
 
 def rruo_of_pattern(pattern: Iterable[int], rdb: RevisedDatabase, maxlen: int) -> float:
     """Mean of :func:`rruo_in_transaction` over supporting transactions."""
-    pattern = tuple(pattern)
-    total = 0.0
-    count = 0
-    for tx in rdb.transactions:
-        if _supports(pattern, tx):
-            total += rruo_in_transaction(pattern, tx, rdb, maxlen)
-            count += 1
-    if count == 0:
-        raise ZeroSupportError(f"no transaction contains pattern {pattern}")
-    return total / count
+    return _mean(pattern, rdb.transactions, rruo_in_transaction, rdb, maxlen)

@@ -8,6 +8,7 @@ from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, make_sample_db, results_by_labe
 from huopminer import (
     GeneratorSpec,
     MiningParams,
+    build_database,
     generate_synthetic,
     mine,
     parse_quantity_profit,
@@ -279,6 +280,30 @@ def test_generated_database_round_trips(tmp_path):
     got, _ = mine(back, params)
     want, _ = mine(db, params)
     assert got == want
+
+
+def test_fractional_unit_utilities_round_trip(tmp_path):
+    # 2.5 and 0.75 are written with repr, not as integers
+    rows = [
+        (1, {"a": 2, "b": 3}),
+        (2, {"a": 1, "c": 4}),
+        (3, {"a": 3, "b": 1, "c": 2}),
+        (4, {"b": 5, "c": 1}),
+    ]
+    db = build_database(rows, {"a": 2.5, "b": 1, "c": 0.75})
+    tx_path = tmp_path / "f.qty"
+    profit_path = tmp_path / "f.profit"
+    write_quantity_profit(db, tx_path, profit_path)
+    assert profit_path.read_text(encoding="utf-8") == "a 2.5\nb 1\nc 0.75\n"
+    back = parse_quantity_profit(tx_path, profit_path)
+    assert back.utility_table == db.utility_table
+    assert [tx.tu for tx in back.transactions] == [tx.tu for tx in db.transactions]
+    params = MiningParams(0.25, 0.1, 1, 3)
+    for name, source in (("built", db), ("read", back)):
+        results, _ = mine(source, params)
+        write_results(results, source, tmp_path / f"{name}.out")
+    assert (tmp_path / "built.out").read_bytes() == (tmp_path / "read.out").read_bytes()
+    assert (tmp_path / "built.out").read_bytes()
 
 
 def golden_results(db):

@@ -19,6 +19,7 @@ from huopminer.measures import (
     uo_in_transaction,
     uo_of_pattern,
 )
+from huopminer.oracle import enumerate_supported
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,31 @@ def test_uo_errors(sample_db):
     db = build_database([(1, {"a": 1}), (2, {"b": 1})], {"a": 1, "b": 1})
     with pytest.raises(ZeroSupportError):
         uo_of_pattern(ids_of(db, "ab"), db)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda ab, tx, rdb: ruo_in_transaction(ab, tx, rdb), PatternNotSupportedError),
+        (lambda ab, tx, rdb: luo_in_transaction(ab, tx, rdb, 3), PatternNotSupportedError),
+        (lambda ab, tx, rdb: rruo_in_transaction(ab, tx, rdb, 3), PatternNotSupportedError),
+        (lambda ab, tx, rdb: ruo_of_pattern(ab, rdb), ZeroSupportError),
+        (lambda ab, tx, rdb: rruo_of_pattern(ab, rdb, 3), ZeroSupportError),
+    ],
+    ids=[
+        "ruo_in_transaction",
+        "luo_in_transaction",
+        "rruo_in_transaction",
+        "ruo_of_pattern",
+        "rruo_of_pattern",
+    ],
+)
+def test_tail_measure_errors(call, error):
+    # neither transaction holds a and b together
+    db = build_database([(1, {"a": 1}), (2, {"b": 1})], {"a": 1, "b": 1})
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    with pytest.raises(error):
+        call(ids_of(db, "ab"), transaction(rdb, 1), rdb)
 
 
 def test_ruo_in_transaction(sample_db, rdb):
@@ -155,6 +181,32 @@ def test_measure_invariants(db_pattern, extra_room):
         assert len(luo) <= maxlen - len(pattern)
         assert list(luo) == sorted(luo, reverse=True)
         assert rruo_in_transaction(pattern, tx, rdb, maxlen) <= ruo_t + 1e-12
+
+
+def _left_to_right_mean(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 2), st.integers(1, 4))
+def test_pattern_measures_are_left_to_right_means(db, min_sc, maxlen):
+    # at threshold 2 revision drops items and whole transactions, so
+    # ruo and rruo average over rdb.transactions, not db.transactions
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
+    for pattern, _sc in enumerate_supported(db, maxlen):
+        held = [tx for tx in db.transactions if all(i in tx.entries for i in pattern)]
+        uo = [uo_in_transaction(pattern, tx, db.utility_table) for tx in held]
+        assert uo_of_pattern(pattern, db) == _left_to_right_mean(uo)
+        revised = [tx for tx in rdb.transactions if all(i in tx.entries for i in pattern)]
+        if not revised:
+            continue
+        ruo = [ruo_in_transaction(pattern, tx, rdb) for tx in revised]
+        assert ruo_of_pattern(pattern, rdb) == _left_to_right_mean(ruo)
+        rruo = [rruo_in_transaction(pattern, tx, rdb, maxlen) for tx in revised]
+        assert rruo_of_pattern(pattern, rdb, maxlen) == _left_to_right_mean(rruo)
 
 
 @settings(max_examples=60, deadline=None)
