@@ -58,8 +58,3 @@ class PatternNotSupportedError(MiningError, ValueError):
 class ZeroSupportError(MiningError, ValueError):
     """A database-level measure was asked about a pattern no transaction
     contains."""
-
-
-class PrefixTupleMissingError(MiningError):
-    """List join saw a transaction in an extension that is absent from its
-    prefix; the structures were built inconsistently."""

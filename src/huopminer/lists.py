@@ -5,13 +5,13 @@ For each supporting transaction a pattern has a utility share there
 (``uo``) plus the capped list of the largest shares still available
 after it (``luo``).  A node stores only what the search reads, as
 columns keyed by transaction id: ``uo_at`` maps each tid to the
-pattern's own ``uo`` and ``rruo_at`` to ``sum(luo)`` of its last item,
-summed when the single-item nodes are built.  The node derives from
-them the support count and the means of ``uo`` and of ``sum(luo)``, and
-:func:`length_upper_bound` bounds its extensions from the columns, so
-the search never touches the database.  Only the ``tuples`` view needs
-``luo`` itself; it recomputes it from the ``(rdb, maxlen)`` pair that
-all nodes of one build share as ``source``.
+pattern's ``uo``, ``last_at`` and ``rruo_at`` to the ``uo`` and
+``sum(luo)`` of its last item, computed by the single-item build.  The
+node derives from them the support count and the means of ``uo`` and of
+``sum(luo)``, and :func:`length_upper_bound` bounds its extensions from
+the columns, so the search never touches the database.  Only the
+``tuples`` view needs ``luo`` itself, recomputed from the
+``(rdb, maxlen)`` pair that all nodes of one build share as ``source``.
 
 Nodes are built in two places, both through the one
 :class:`PatternNode` constructor over these columns:
@@ -20,12 +20,14 @@ Nodes are built in two places, both through the one
   the ranks of the total order, and builds the single-item nodes; no
   revised copy of the database is made.
 * :func:`construct` joins two sibling patterns (same prefix, the
-  extending items adjacent in the mining order).  Shares add up as
-  ``uo(prefix+a+b) = uo(prefix+a) + uo(prefix+b) - uo(prefix)``, one
-  dict lookup per operand and tid.  ``luo`` is inherited from the later
-  sibling unchanged, so a joined node shares that sibling's ``rruo_at``
-  and ``source`` by reference: every node ending in item ``i`` reads
-  the dict built for ``i``, which may hold more tids than the node.
+  extending items adjacent in the mining order).  A pattern's share in
+  a transaction is the sum of its items' shares, so a join adds the
+  later sibling's last-item share to the earlier sibling's share,
+  ``uo(prefix+a+b) = uo(prefix+a) + uo(b)``, reading only the two
+  operands.  That item also gives ``luo``, so a joined node shares the
+  later sibling's ``last_at``, ``rruo_at`` and ``source`` by reference:
+  every node ending in item ``i`` reads the dicts built for ``i``,
+  which may hold more tids than the node.
 
 Every node also carries ``bits``, the set of transactions it occurs in
 as an int bitmask.  A join intersects the operands' masks first and
@@ -41,7 +43,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
-from .errors import InvalidParamsError, PrefixTupleMissingError
+from .errors import InvalidParamsError
 from .measures import luo_in_transaction
 
 
@@ -60,11 +62,13 @@ class PatternNode:
     and FUO-table of the pattern are both this one node.
 
     ``uo_at`` maps each supporting tid, in ascending order, to the
-    pattern's share there.  ``rruo_at`` maps tids to ``sum(luo)`` of the
-    pattern's last item; joined nodes share their last item's dict, so
-    it may hold tids the pattern does not occur in.  Only the tids of
-    ``uo_at`` belong to the node.  ``source`` is the shared, read-only
-    ``(rdb, maxlen)`` pair the ``tuples`` view derives ``luo`` from.
+    pattern's share there.  ``last_at`` and ``rruo_at`` map tids to the
+    share and to ``sum(luo)`` of the pattern's last item alone; joined
+    nodes share their last item's dicts, so these may hold tids the
+    pattern does not occur in.  ``last_at`` is ``uo_at`` for a single
+    item.  Only the tids of ``uo_at`` belong to the node.  ``source`` is
+    the shared, read-only ``(rdb, maxlen)`` pair the ``tuples`` view
+    derives ``luo`` from.
 
     ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
     of the revised database, the ``k``-th transaction that keeps a
@@ -72,18 +76,20 @@ class PatternNode:
     tids are.
     """
 
-    __slots__ = ("pattern", "uo_at", "rruo_at", "sup", "uo", "bits", "source")
+    __slots__ = ("pattern", "uo_at", "last_at", "rruo_at", "sup", "uo", "bits", "source")
 
     def __init__(
         self,
         pattern: Pattern,
         uo_at: dict[int, float],
+        last_at: dict[int, float],
         rruo_at: dict[int, float],
         bits: int,
         source: tuple[RevisedDatabase, int],
     ) -> None:
         self.pattern = pattern
         self.uo_at = uo_at
+        self.last_at = last_at
         self.rruo_at = rruo_at
         self.sup = len(uo_at)
         self.uo = sum(uo_at.values()) / self.sup
@@ -195,7 +201,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
             rest = sum(top)
 
     return tuple(
-        PatternNode((item,), uo_at[r], rruo_at[r], int.from_bytes(masks[r], "little"), source)
+        PatternNode(
+            (item,), uo_at[r], uo_at[r], rruo_at[r], int.from_bytes(masks[r], "little"), source
+        )
         for r, item in enumerate(items)
     )
 
@@ -206,27 +214,20 @@ def construct(
     xb: PatternNode,
     min_sup_count: int,
 ) -> PatternNode | None:
-    """Join sibling nodes ``xa`` and ``xb`` into their union pattern.
+    """Join sibling nodes ``xa`` and ``xb`` into their union pattern,
+    adding per tid the share of ``xb``'s last item to ``xa``'s share.
 
-    ``prefix`` is the shared prefix node (``None`` when the siblings are
-    single items).  Returns ``None`` when the union's support, counted
-    from the intersected masks, is below ``min_sup_count``; this is the
-    only way a join can come back empty.
+    Returns ``None`` when the union's support, counted from the
+    intersected masks, is below ``min_sup_count``; this is the only way
+    a join can come back empty.  ``prefix`` is not read.  It stays first
+    because the benchmark's tracer (``perfbench/sample.py``) unpacks
+    ``(prefix, xa, xb)`` from the positional arguments.
     """
     bits = xa.bits & xb.bits
     if bits.bit_count() < min_sup_count:
         return None
 
-    a = xa.uo_at
-    b = xb.uo_at
-    if prefix is None:
-        uo_at = {tid: u + b[tid] for tid, u in a.items() if tid in b}
-    else:
-        p = prefix.uo_at
-        try:
-            uo_at = {tid: u + b[tid] - p[tid] for tid, u in a.items() if tid in b}
-        except KeyError as missing:
-            raise PrefixTupleMissingError(
-                f"prefix {prefix.pattern} has no entry for transaction {missing.args[0]}"
-            ) from None
-    return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, xb.rruo_at, bits, xb.source)
+    b = xb.uo_at  # the shared last-item column holds more tids than xb
+    last = xb.last_at
+    uo_at = {tid: u + last[tid] for tid, u in xa.uo_at.items() if tid in b}
+    return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, last, xb.rruo_at, bits, xb.source)

@@ -18,7 +18,7 @@ from .database import (
     support_counts,
 )
 from .errors import OracleGuardError
-from .measures import uo_of_pattern
+from .measures import _mean, uo_in_transaction
 
 DEFAULT_MAX_ITEMS = 25
 
@@ -77,14 +77,17 @@ def brute_force_mine(
     """Reference answer for :func:`huopminer.search.mine`.
 
     Same result type, same sort order (length, then mining-order
-    position), every measure recomputed from raw quantities.
+    position), every measure recomputed from raw quantities.  Occupancy
+    is :func:`uo_of_pattern`'s mean, taken over the pattern's tidset
+    only; tids increase, so sorted tids are in database order.
     """
     min_sc = min_support_count(params.alpha, db.size)
+    by_tid = {tx.tid: tx for tx in db.transactions}
     results = []
     for pattern, tids in _enumerate(db, params.maxlen, min_sc, max_items):
         if len(pattern) < params.minlen:
             continue
-        uo = uo_of_pattern(pattern, db)
+        uo = _mean(pattern, map(by_tid.__getitem__, sorted(tids)), uo_in_transaction, db.utility_table)
         if uo >= params.beta:
             results.append(HUOPResult(pattern=pattern, sup=len(tids), uo=uo))
     return results

@@ -70,9 +70,9 @@ def search_subtree(
     frame per depth keeps only the current path's extension lists alive.
     """
     beta = params.beta
-    stack = [(None, exten, enumerate(exten))]
+    stack = [(exten, enumerate(exten))]
     while stack:
-        prefix, exten, siblings = stack[-1]
+        exten, siblings = stack[-1]
         for pos, xa in siblings:
             stats.visited_nodes += 1
             if xa.uo >= beta and len(xa.pattern) >= params.minlen:
@@ -94,13 +94,13 @@ def search_subtree(
             sub_exten: list[PatternNode] = []
             for xb in exten[pos + 1 :]:
                 stats.constructions += 1
-                node = construct(prefix, xa, xb, min_sc)
+                node = construct(None, xa, xb, min_sc)
                 if node is None:
                     stats.early_aborts += 1
                 else:
                     sub_exten.append(node)
             # Descend; this frame's iterator resumes after the subtree.
-            stack.append((xa, sub_exten, enumerate(sub_exten)))
+            stack.append((sub_exten, enumerate(sub_exten)))
             break
         else:
             stack.pop()

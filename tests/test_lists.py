@@ -14,7 +14,7 @@ from huopminer import (
     revise_database,
     support_counts,
 )
-from huopminer.errors import InvalidParamsError, PrefixTupleMissingError
+from huopminer.errors import InvalidParamsError
 from huopminer.lists import PatternNode
 from huopminer.measures import (
     luo_in_transaction,
@@ -119,8 +119,9 @@ def test_construct_two_items(sample_db, nodes):
 
 def test_tuples_view_of_a_joined_node(nodes):
     joined = construct(None, nodes["c"], nodes["a"], 3)
-    # the joined node shares a's remainder column, which holds more tids
-    # than it, and the view derives the same luo as a's for each tid
+    # the joined node shares a's share and remainder columns, which hold
+    # more tids than it, and the view derives the same luo as a's for each tid
+    assert joined.last_at is nodes["a"].uo_at
     assert joined.rruo_at is nodes["a"].rruo_at
     assert len(joined.rruo_at) > joined.sup
     view = joined.uonl.tuples
@@ -133,9 +134,9 @@ def test_tuples_view_of_a_joined_node(nodes):
 
 
 def _node(pattern, uo_at, bits):
-    """A node over hand-made columns with no room left after it and no
-    database to derive its tuples from."""
-    return PatternNode(pattern, uo_at, dict.fromkeys(uo_at, 0.0), bits, None)
+    """A node over hand-made columns, its own last-item column, with no
+    room left after it and no database to derive its tuples from."""
+    return PatternNode(pattern, uo_at, uo_at, dict.fromkeys(uo_at, 0.0), bits, None)
 
 
 def test_construct_aborts_on_disjoint_tids():
@@ -148,15 +149,6 @@ def test_construct_aborts_on_disjoint_tids():
 def test_construct_aborts_when_support_cannot_reach_threshold(nodes):
     # pattern {c, a} has support 3; a threshold of 4 must abort the join
     assert construct(None, nodes["c"], nodes["a"], 4) is None
-
-
-def test_construct_missing_prefix_tuple_is_an_error():
-    # tids 1 and 2 sit at positions 0 and 1; the prefix lacks tid 2
-    prefix = _node((0,), {1: 0.2}, 0b01)
-    xa = _node((0, 1), {1: 0.4, 2: 0.4}, 0b11)
-    xb = _node((0, 2), {2: 0.3}, 0b10)
-    with pytest.raises(PrefixTupleMissingError):
-        construct(prefix, xa, xb, 1)
 
 
 def _supporting_tids(db, pattern):
@@ -204,14 +196,14 @@ def test_joins_agree_with_direct_scans(db, maxlen, min_sc):
     nodes = build_initial_nodes(rdb, maxlen)
     singles = {n.pattern: n for n in nodes}
 
-    def walk(prefix, exten, depth_left):
+    def walk(exten, depth_left):
         for pos, xa in enumerate(exten):
             _check_node(db, rdb, maxlen, singles, xa)
             if depth_left == 0:
                 continue
             sub = []
             for xb in exten[pos + 1 :]:
-                joined = construct(prefix, xa, xb, 1)
+                joined = construct(None, xa, xb, 1)
                 if joined is None:
                     # the abort must be exact: the siblings share no transactions
                     assert not (
@@ -221,9 +213,9 @@ def test_joins_agree_with_direct_scans(db, maxlen, min_sc):
                 else:
                     assert joined.fuot.sup <= min(xa.fuot.sup, xb.fuot.sup)
                     sub.append(joined)
-            walk(xa, sub, depth_left - 1)
+            walk(sub, depth_left - 1)
 
-    walk(None, list(nodes), maxlen - 1)
+    walk(list(nodes), maxlen - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,22 +228,45 @@ def test_construct_returns_none_exactly_when_union_is_infrequent(db, maxlen):
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     nodes = build_initial_nodes(rdb, maxlen)
 
-    def walk(prefix, exten, depth_left):
+    def walk(exten, depth_left):
         for pos, xa in enumerate(exten):
             sub = []
             for xb in exten[pos + 1 :]:
                 union = xa.pattern + (xb.pattern[-1],)
                 true_sup = len(_supporting_tids(db, union))
                 for k in range(1, xa.fuot.sup + 1):
-                    joined = construct(prefix, xa, xb, k)
+                    joined = construct(None, xa, xb, k)
                     if true_sup < k:
                         assert joined is None
                     else:
                         assert joined is not None
                         assert joined.fuot.sup == true_sup
                 if true_sup >= 1:
-                    sub.append(construct(prefix, xa, xb, 1))
+                    sub.append(construct(None, xa, xb, 1))
             if depth_left > 0:
-                walk(xa, sub, depth_left - 1)
+                walk(sub, depth_left - 1)
 
-    walk(None, list(nodes), maxlen - 1)
+    walk(list(nodes), maxlen - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 2))
+def test_join_shares_are_left_to_right_sums_of_item_shares(db, min_sc):
+    # at every depth a node's share in a transaction is the float sum of
+    # its items' single-item shares, added in pattern order; a join that
+    # reads anything else, such as a prefix to subtract, rounds otherwise
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
+    nodes = build_initial_nodes(rdb, max(1, len(rdb.order.items)))
+    single = {n.pattern[0]: n.uo_at for n in nodes}
+
+    def walk(exten):
+        for pos, xa in enumerate(exten):
+            for tid, share in xa.uo_at.items():
+                total = 0.0
+                for item in xa.pattern:
+                    total += single[item][tid]
+                assert share == total
+            joined = (construct(None, xa, xb, 1) for xb in exten[pos + 1 :])
+            walk([node for node in joined if node is not None])
+
+    walk(list(nodes))

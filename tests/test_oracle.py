@@ -1,10 +1,13 @@
 """Brute-force reference miner: enumeration, guard, golden answers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import GOLDEN_18, ids_of, results_by_label
+from helpers import GOLDEN_18, ids_of, results_by_label, small_databases
 from huopminer import MiningParams, build_database
 from huopminer.errors import OracleGuardError
+from huopminer.measures import uo_of_pattern
 from huopminer.oracle import brute_force_mine, enumerate_supported
 
 
@@ -84,3 +87,12 @@ def test_guard_refuses_wide_vocabularies():
     assert len(narrow.item_labels) == 35
     assert len(enumerate_supported(narrow, 5)) == 31
     assert len(brute_force_mine(narrow, MiningParams(1.0, 0.2, 1, 5))) == 31
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.floats(0.01, 1.0), st.integers(1, 6))
+def test_reported_occupancy_is_the_measure_bit_for_bit(db, alpha, maxlen):
+    # the oracle averages over each pattern's tidset only; that mean must
+    # be the database scan's float, summed in the same order
+    for r in brute_force_mine(db, MiningParams(alpha, 1e-12, 1, maxlen)):
+        assert r.uo == uo_of_pattern(r.pattern, db)
