@@ -17,9 +17,11 @@ of the original identifiers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import InvalidDatabaseError, InvalidParamsError, MissingUtilityError
@@ -231,12 +233,8 @@ def build_database(
 
 
 def support_counts(db: TransactionDatabase) -> dict[int, int]:
-    """Number of transactions containing each item."""
-    counts: dict[int, int] = {}
-    for tx in db.transactions:
-        for item in tx.entries:
-            counts[item] = counts.get(item, 0) + 1
-    return counts
+    """Number of transactions containing each item, in first-seen order."""
+    return Counter(chain.from_iterable(tx.entries for tx in db.transactions))
 
 
 def build_total_order(counts: Mapping[int, int], min_sup_count: int) -> TotalOrder:

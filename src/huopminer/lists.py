@@ -9,9 +9,10 @@ pattern's ``uo``, ``last_at`` and ``rruo_at`` to the ``uo`` and
 ``sum(luo)`` of its last item, computed by the single-item build.  The
 node derives from them the support count and the means of ``uo`` and of
 ``sum(luo)``, and :func:`length_upper_bound` bounds its extensions from
-the columns, so the search never touches the database.  Only the
-``tuples`` view needs ``luo`` itself, recomputed from the
-``(rdb, maxlen)`` pair that all nodes of one build share as ``source``.
+the columns, so the search never touches the database.  Only iterating
+a node, which yields its ``UOTuple``s, needs ``luo`` itself, recomputed
+from the ``(rdb, maxlen)`` pair that all nodes of one build share as
+``source``.
 
 Nodes are built in two places, both through the one
 :class:`PatternNode` constructor over these columns:
@@ -59,7 +60,9 @@ class UOTuple(NamedTuple):
 class PatternNode:
     """A pattern with its occupancy columns and the summary derived from
     them: support count ``sup`` and mean ``uo``.  The paper's UO-nlist
-    and FUO-table of the pattern are both this one node.
+    and FUO-table of the pattern are both this one node: iterating it
+    yields its ``UOTuple``s in ascending tid order, and its ``len`` is
+    ``sup``.
 
     ``uo_at`` maps each supporting tid, in ascending order, to the
     pattern's share there.  ``last_at`` and ``rruo_at`` map tids to the
@@ -67,8 +70,8 @@ class PatternNode:
     nodes share their last item's dicts, so these may hold tids the
     pattern does not occur in.  ``last_at`` is ``uo_at`` for a single
     item.  Only the tids of ``uo_at`` belong to the node.  ``source`` is
-    the shared, read-only ``(rdb, maxlen)`` pair the ``tuples`` view
-    derives ``luo`` from.
+    the shared, read-only ``(rdb, maxlen)`` pair each iterated
+    ``UOTuple`` derives its ``luo`` from.
 
     ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
     of the revised database, the ``k``-th transaction that keeps a
@@ -96,10 +99,20 @@ class PatternNode:
         self.bits = bits
         self.source = source
 
+    def __len__(self) -> int:
+        return self.sup
+
+    def __iter__(self) -> Iterator[UOTuple]:
+        rdb, maxlen = self.source
+        transactions = iter(rdb.database.transactions)  # holds the node's tids in order
+        for tid, uo in self.uo_at.items():
+            tx = next(tx for tx in transactions if tx.tid == tid)
+            yield UOTuple(tid, uo, luo_in_transaction(self.pattern[-1:], tx, rdb, maxlen))
+
     @property
-    def tuples(self) -> UOTupleView:
-        """The node's entries as ``UOTuple``s, ascending tid."""
-        return UOTupleView(self)
+    def tuples(self) -> PatternNode:
+        """The node's entries: iterating it yields its ``UOTuple``s."""
+        return self
 
     @property
     def rruo(self) -> float:
@@ -108,12 +121,12 @@ class PatternNode:
 
     @property
     def uonl(self) -> PatternNode:
-        """The UO-nlist view: ``pattern`` and ``tuples``."""
+        """The UO-nlist: ``pattern`` and ``tuples``."""
         return self
 
     @property
     def fuot(self) -> PatternNode:
-        """The FUO-table view: ``sup``, ``uo`` and ``rruo``."""
+        """The FUO-table: ``sup``, ``uo`` and ``rruo``."""
         return self
 
 
@@ -130,30 +143,6 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
     rruo_at = node.rruo_at
     values = sorted([uo + rruo_at[tid] for tid, uo in node.uo_at.items()], reverse=True)
     return sum(values[:min_sup_count]) / min_sup_count
-
-
-class UOTupleView:
-    """A node's ``UOTuple``s in ascending tid order.
-
-    ``len`` is the node's support, in constant time; each ``UOTuple`` is
-    built as iteration reaches it, its ``luo`` recomputed from ``source``.
-    """
-
-    __slots__ = ("_node",)
-
-    def __init__(self, node: PatternNode) -> None:
-        self._node = node
-
-    def __len__(self) -> int:
-        return self._node.sup
-
-    def __iter__(self) -> Iterator[UOTuple]:
-        node = self._node
-        rdb, maxlen = node.source
-        transactions = iter(rdb.database.transactions)  # holds the node's tids in order
-        for tid, uo in node.uo_at.items():
-            tx = next(tx for tx in transactions if tx.tid == tid)
-            yield UOTuple(tid, uo, luo_in_transaction(node.pattern[-1:], tx, rdb, maxlen))
 
 
 def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode, ...]:

@@ -15,11 +15,12 @@ For a pattern ``X`` and a supporting transaction ``T``:
 
 These functions rescan the database on every call.  They are the slow,
 obviously-correct counterpart of :mod:`huopminer.lists`, used to
-cross-check it, and the one definition of the ``luo`` its view shows.
-The per-transaction ``ruo``, ``luo`` and ``rruo`` skip items outside the
-mining order and take the rest in ascending rank, so an original
-transaction gives exactly what its revised counterpart gives: the
-``tuples`` view reads the parsed database, no revised copy.
+cross-check it, and the one definition of the ``luo`` in the
+``UOTuple``s that iterating a node yields.  The per-transaction ``ruo``,
+``luo`` and ``rruo`` skip items outside the mining order and take the
+rest in ascending rank, so an original transaction gives exactly what
+its revised counterpart gives: an iterated node reads the parsed
+database, no revised copy.
 """
 
 from __future__ import annotations

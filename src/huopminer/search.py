@@ -10,17 +10,19 @@ built on the capped ``luo`` lists, says an extension could still reach
 the occupancy threshold.  That bound sorts the node's column, so two
 cheaper lower bounds on it come first, ``uo`` and ``uo + rruo`` (the
 mean of ``uo + sum(luo)`` over all the node's tids): a node with either
-at ``minuo`` is kept unsorted.  With ``bound_log`` every node below the
-cap is bounded and logged, and pruned by the same rule.  Occupancy is not
-anti-monotone and never prunes; ``minlen`` only filters what is
-reported.  The walk reads only a node's summary, ``pattern``, ``sup``,
-``uo`` and ``rruo``: :mod:`huopminer.lists` builds, joins and bounds the
-nodes over their occupancy columns.
+at ``minuo`` is kept unsorted.  With ``bound_log`` the bound of every
+node below the cap is also logged: the log only observes the walk, and
+no decision depends on it.  Occupancy is not anti-monotone and never
+prunes; ``minlen`` only filters what is reported.  The walk reads only
+a node's summary, ``pattern``, ``sup``, ``uo`` and ``rruo``:
+:mod:`huopminer.lists` builds, joins and bounds the nodes over their
+occupancy columns.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .database import (
@@ -56,7 +58,7 @@ class SearchStats:
 
 
 def search_subtree(
-    exten: list[PatternNode],
+    exten: Sequence[PatternNode],
     params: MiningParams,
     min_sc: int,
     results: list[HUOPResult],
@@ -79,18 +81,13 @@ def search_subtree(
                 results.append(HUOPResult(pattern=xa.pattern, sup=xa.sup, uo=xa.uo))
             if len(xa.pattern) == params.maxlen:
                 continue
-            bound = None
             if bound_log is not None:
-                bound = length_upper_bound(xa, min_sc)
-                bound_log.append((xa.pattern, bound))
+                bound_log.append((xa.pattern, length_upper_bound(xa, min_sc)))
             # uo <= uo + rruo <= the bound, so a node passing either
             # pre-check is kept without sorting; only the rest are bounded
-            if xa.uo < beta and xa.uo + xa.rruo < beta:
-                if bound is None:
-                    bound = length_upper_bound(xa, min_sc)
-                if bound < beta:
-                    stats.lub_prunes += 1
-                    continue
+            if xa.uo < beta and xa.uo + xa.rruo < beta and length_upper_bound(xa, min_sc) < beta:
+                stats.lub_prunes += 1
+                continue
             sub_exten: list[PatternNode] = []
             for xb in exten[pos + 1 :]:
                 stats.constructions += 1
@@ -125,7 +122,7 @@ def mine(
     min_sc = min_support_count(params.alpha, db.size)
     order = build_total_order(counts, min_sc)
     rdb = revise_database(db, order)
-    nodes = list(build_initial_nodes(rdb, params.maxlen))
+    nodes = build_initial_nodes(rdb, params.maxlen)
 
     stats = SearchStats()
     results: list[HUOPResult] = []

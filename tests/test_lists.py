@@ -270,3 +270,23 @@ def test_join_shares_are_left_to_right_sums_of_item_shares(db, min_sc):
             walk([node for node in joined if node is not None])
 
     walk(list(nodes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 2))
+def test_node_is_its_own_uo_nlist(db, min_sc):
+    # at every depth a node's len is its support, iterating it yields one
+    # UOTuple per supporting tid in ascending order, and tuples is the node
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
+    nodes = build_initial_nodes(rdb, max(1, len(rdb.order.items)))
+
+    def walk(exten):
+        for pos, xa in enumerate(exten):
+            assert len(xa) == xa.sup
+            assert [t.tid for t in xa] == list(xa.uo_at)
+            assert list(xa) == list(xa.uonl.tuples)
+            assert xa.tuples is xa
+            joined = (construct(None, xa, xb, 1) for xb in exten[pos + 1 :])
+            walk([node for node in joined if node is not None])
+
+    walk(list(nodes))
