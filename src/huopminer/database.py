@@ -170,21 +170,11 @@ def _label_key(label: str) -> tuple[int, int, str]:
     return (1, 0, label)
 
 
-def build_database(
-    rows: Iterable[tuple[int, Mapping[str, float]]],
+def _number_items(
     utilities: Mapping[str, float],
-) -> TransactionDatabase:
-    """Assemble a database from ``(tid, {label: quantity})`` rows.
-
-    Every entry of ``utilities`` is an item: its unit utility must be
-    positive and finite, and its label, coerced to a string, gets a dense
-    id in ascending label order, whether or not a row lists it.  ``rows``
-    is then read once, each row converted to its id-keyed transaction as
-    it arrives, so errors come in row order.  Each row's items need an
-    entry in ``utilities``; tids must be positive and strictly
-    increasing, quantities positive, the labels of the table and of each
-    row distinct after coercion and transaction utilities finite.
-    """
+) -> tuple[tuple[str, ...], dict[str, int], dict[int, float]]:
+    """The labels of ``utilities`` in id order, each label's id and the
+    id-keyed table, checked as :func:`build_database` states."""
     util: dict[str, float] = {}
     for key, eu in utilities.items():
         label = str(key)
@@ -198,7 +188,34 @@ def build_database(
     labels = tuple(sorted(util, key=_label_key))
     ids = {label: i for i, label in enumerate(labels)}
     table = {i: util[label] for i, label in enumerate(labels)}
+    return labels, ids, table
 
+
+def _transaction(tid: int, by_id: Mapping[int, float], tu: float) -> Transaction:
+    """The transaction, once its utility is known to be finite."""
+    if tu == math.inf:  # a product past the float range, or an int beyond it
+        raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
+    return Transaction(tid, by_id, tu)
+
+
+def build_database(
+    rows: Iterable[tuple[int, Mapping[str, float]]],
+    utilities: Mapping[str, float],
+) -> TransactionDatabase:
+    """Assemble a database from label-keyed ``(tid, {label: quantity})``
+    rows, as the spmf parser, the generator and library callers hold
+    them.
+
+    Every entry of ``utilities`` is an item: its unit utility must be
+    positive and finite, and its label, coerced to a string, gets a dense
+    id in ascending label order, whether or not a row lists it.  ``rows``
+    is then read once, each row converted to its id-keyed transaction as
+    it arrives, so errors come in row order.  Each row's items need an
+    entry in ``utilities``; tids must be positive and strictly
+    increasing, quantities positive, the labels of the table and of each
+    row distinct after coercion and transaction utilities finite.
+    """
+    labels, ids, table = _number_items(utilities)
     transactions = []
     last_tid = 0
     for tid, entries in rows:
@@ -224,9 +241,7 @@ def build_database(
                 tu = math.inf
         if len(by_id) < len(entries):  # keys such as 1 and "1" name one item
             raise InvalidDatabaseError(f"transaction {tid} lists an item twice")
-        if tu == math.inf:
-            raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
-        transactions.append(Transaction(tid=tid, entries=by_id, tu=tu))
+        transactions.append(_transaction(tid, by_id, tu))
     return TransactionDatabase(
         transactions=tuple(transactions), utility_table=table, item_labels=labels
     )

@@ -17,6 +17,8 @@ Two text formats are supported, both UTF-8 text whose lines end where
   plus a profit file of ``item unit_utility`` lines.  ``#`` starts a
   comment line and blank lines are skipped in both files.  Every profit
   line is an item; one that no transaction lists changes no answer.
+  The transactions file is read in one pass straight into id-keyed
+  transactions, with a bounded memo of the pair texts already read.
 
 Transaction ids are assigned 1-based in file order, and errors are
 reported in file order too.
@@ -32,10 +34,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .database import HUOPResult, TransactionDatabase, build_database
+from .database import HUOPResult, TransactionDatabase, _number_items, _transaction, build_database
 from .errors import DatasetConsistencyError, DatasetFormatError
 
 TU_TOLERANCE = 1e-6
+
+# The most pair texts one quantity parse remembers, about 1 MB.  A file
+# whose pairs rarely repeat (distinct quantities) would otherwise grow the
+# memo with its own size and gain no hits, only time and memory.
+_PAIR_MEMO_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +128,10 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
     """Parse a quantity file and its profit table into a database.
 
     The profit file is read first, each line an item.  The quantity file
-    then streams into :func:`build_database` one line at a time.
+    is then read in one pass, each line converted straight to its
+    id-keyed transaction.  A pair text read before is looked up in a
+    bounded memo instead of parsed again; the errors and the database are
+    the same either way.
     """
     utilities: dict[str, float] = {}
     for no, line in _data_lines(profit_source, allow_comments=True):
@@ -138,15 +148,21 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
         if not 0 < eu < math.inf:
             raise DatasetFormatError(f"unit utility for item {label!r} must be positive and finite", no)
         utilities[label] = eu
+    labels, ids, table = _number_items(utilities)
 
-    def rows() -> Iterator[tuple[int, dict[str, int]]]:
-        for tid, (no, line) in enumerate(_data_lines(tx_source, allow_comments=True), start=1):
-            entries: dict[str, int] = {}
-            for pair in line.split():
+    memo: dict[str, tuple[int, int, float]] = {}  # pair text -> (item, qty, utility)
+    transactions = []
+    for tid, (no, line) in enumerate(_data_lines(tx_source, allow_comments=True), start=1):
+        by_id: dict[int, int] = {}
+        tu = 0.0
+        for pair in line.split():
+            entry = memo.get(pair)
+            if entry is None:
                 label, sep, qty_text = pair.rpartition(":")
                 if not sep or not label:
                     raise DatasetFormatError(f"expected 'item:quantity', got {pair!r}", no)
-                if label in entries:
+                item = ids.get(label)
+                if item in by_id:
                     raise DatasetFormatError(f"duplicate item {label!r}", no)
                 try:
                     qty = int(qty_text)
@@ -156,12 +172,24 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
                     raise DatasetFormatError(
                         f"quantity for item {label!r} must be a positive integer, got {qty}", no
                     )
-                if label not in utilities:
+                if item is None:
                     raise DatasetFormatError(f"item {label!r} has no profit entry", no)
-                entries[label] = qty
-            yield tid, entries
-
-    return build_database(rows(), utilities)
+                try:
+                    u = qty * table[item]
+                except OverflowError:  # an int quantity beyond the float range
+                    u = math.inf
+                if len(memo) < _PAIR_MEMO_CAP:
+                    memo[pair] = (item, qty, u)
+            else:
+                item, qty, u = entry
+                if item in by_id:
+                    raise DatasetFormatError(f"duplicate item {labels[item]!r}", no)
+            by_id[item] = qty
+            tu += u
+        transactions.append(_transaction(tid, by_id, tu))
+    return TransactionDatabase(
+        transactions=tuple(transactions), utility_table=table, item_labels=labels
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import io as stdio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, make_sample_db, results_by_label
 from huopminer import (
@@ -120,6 +122,79 @@ def test_parse_errors_come_in_file_order():
     text = "a:1" + "0" * 400 + "\na:2\na:0\n"
     with pytest.raises(InvalidDatabaseError, match="utility of transaction 1 is not finite"):
         parse_quantity_profit(stdio.StringIO(text), stdio.StringIO(SAMPLE_PROFIT_FILE))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a duplicate label is reported before its quantity is read
+        ("a:2 a:x\n", "line 1: duplicate item 'a'"),
+        # the second pair repeats the first pair's text
+        ("a:2 a:2\n", "line 1: duplicate item 'a'"),
+        ("a:2\nb:1 a:2 b:1\n", "line 2: duplicate item 'b'"),
+        # a bad quantity is reported before a missing profit entry
+        ("q:0\n", "line 1: quantity for item 'q' must be a positive integer, got 0"),
+        ("a:1\na:1 q:1\n", "line 2: item 'q' has no profit entry"),
+        # a line's pairs are all checked before its utility sum
+        ("a:1" + "0" * 400 + " b:0\n", "line 1: quantity for item 'b' must be a positive integer"),
+    ],
+)
+def test_parse_quantity_profit_error_precedence(text, message):
+    with pytest.raises(DatasetFormatError) as err:
+        parse_quantity_profit(stdio.StringIO(text), stdio.StringIO(SAMPLE_PROFIT_FILE))
+    assert str(err.value).startswith(message)
+
+
+def assert_same_database(got, want):
+    assert got.item_labels == want.item_labels
+    assert got.utility_table == want.utility_table
+    assert len(got.transactions) == len(want.transactions)
+    for g, w in zip(got.transactions, want.transactions):
+        assert g.tid == w.tid
+        assert list(g.entries.items()) == list(w.entries.items())
+        assert g.tu.hex() == w.tu.hex()
+
+
+# labels with ':' exercise rpartition, all-digit ones the numeric order;
+# none starts with '#', which would make its line a comment
+qty_labels = st.text(alphabet="ab:0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def qty_files(draw):
+    """Label-keyed rows and a profit table, with both rendered as text."""
+    labels = draw(st.lists(qty_labels, min_size=1, max_size=6, unique=True))
+    profits = {
+        label: draw(st.floats(0.01, 1000.0) | st.integers(1, 50).map(float)) for label in labels
+    }
+    rows, lines = [], []
+    for tid in range(1, draw(st.integers(1, 8)) + 1):
+        members = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        # small quantities repeat their pair texts across lines
+        entries = {label: draw(st.integers(1, 3) | st.integers(1, 10**12)) for label in members}
+        rows.append((tid, entries))
+        lines.append(
+            " ".join(f"{label}:{'0' * draw(st.integers(0, 2))}{qty}" for label, qty in entries.items())
+        )
+    profit_text = "".join(f"{label} {eu!r}\n" for label, eu in profits.items())
+    return rows, profits, "\n".join(lines) + "\n", profit_text
+
+
+@settings(max_examples=80, deadline=None)
+@given(qty_files())
+def test_quantity_parser_equals_the_validating_builder(files):
+    rows, profits, qty_text, profit_text = files
+    got = parse_quantity_profit(stdio.StringIO(qty_text), stdio.StringIO(profit_text))
+    assert_same_database(got, build_database(rows, profits))
+
+
+def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
+    # 5000 distinct pair texts, then the same again: the parser remembers
+    # only some of them, and reads the rest afresh
+    rows = [(tid, {"a" if tid % 2 else "b": 1 + (tid - 1) % 5000}) for tid in range(1, 10001)]
+    qty_text = "".join(f"{label}:{qty}\n" for _, entries in rows for label, qty in entries.items())
+    got = parse_quantity_profit(stdio.StringIO(qty_text), stdio.StringIO("a 3\nb 0.7\nc 2\n"))
+    assert_same_database(got, build_database(rows, {"a": 3.0, "b": 0.7, "c": 2.0}))
 
 
 def test_unused_profit_entries_change_no_answer(tmp_path):
