@@ -14,12 +14,16 @@ a node, which yields its ``UOTuple``s, needs ``luo`` itself, recomputed
 from the ``(rdb, maxlen)`` pair that all nodes of one build share as
 ``source``.
 
-Nodes are built in two places, both through the one
-:class:`PatternNode` constructor over these columns:
+Nodes are built in two places, both as :class:`PatternNode`:
 
 * :func:`build_initial_nodes` scans the parsed database once, through
   the ranks of the total order, and builds the single-item nodes; no
-  revised copy of the database is made.
+  revised copy of the database is made.  A single-item node keeps the
+  scan's compact columns, its tids, shares and remainders in scan
+  order, and takes ``sup``, ``uo`` and ``rruo`` from them.  It builds
+  its tid-keyed dicts, and drops the compact columns, only when a kept
+  join, a bound sort or iteration first reads them; on a wide, sparse
+  database whose joins all abort on the masks, no dict is ever built.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order).  A pattern's share in
   a transaction is the sum of its items' shares, so a join adds the
@@ -40,6 +44,7 @@ if and only if the joined pattern would be infrequent.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -77,9 +82,19 @@ class PatternNode:
     of the revised database, the ``k``-th transaction that keeps a
     frequent item, so a mask takes one bit per transaction whatever the
     tids are.
+
+    A single-item node from :func:`build_initial_nodes` starts compact:
+    instead of the three dicts it holds the scan's columns, a list of
+    tids, an ``array('d')`` of shares and a list of remainders, all in
+    scan order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
+    same order as over the dicts.  The first read of ``uo_at``,
+    ``last_at`` or ``rruo_at``, by a kept join, a bound sort or
+    iteration, builds the dicts from the columns and drops the columns.
     """
 
-    __slots__ = ("pattern", "uo_at", "last_at", "rruo_at", "sup", "uo", "bits", "source")
+    __slots__ = (
+        "pattern", "uo_at", "last_at", "rruo_at", "sup", "uo", "bits", "source", "_columns"
+    )
 
     def __init__(
         self,
@@ -98,6 +113,39 @@ class PatternNode:
         self.uo = sum(uo_at.values()) / self.sup
         self.bits = bits
         self.source = source
+        self._columns = None
+
+    @classmethod
+    def _compact(
+        cls,
+        pattern: Pattern,
+        tids: list[int],
+        shares: array[float],
+        rests: list[float],
+        bits: int,
+        source: tuple[RevisedDatabase, int],
+    ) -> PatternNode:
+        """A single-item node over the scan's columns; its dicts are
+        built on first read."""
+        node = cls.__new__(cls)
+        node.pattern = pattern
+        node.sup = len(tids)
+        node.uo = sum(shares) / node.sup
+        node.bits = bits
+        node.source = source
+        node._columns = (tids, shares, rests)
+        return node
+
+    def __getattr__(self, name: str) -> dict[int, float]:
+        # Python calls this only when normal lookup fails, as for the
+        # unset dict slots of a compact node: build them once and keep them
+        if name not in ("uo_at", "last_at", "rruo_at") or self._columns is None:
+            raise AttributeError(name)
+        tids, shares, rests = self._columns
+        self.uo_at = self.last_at = dict(zip(tids, shares))
+        self.rruo_at = dict(zip(tids, rests))
+        self._columns = None
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return self.sup
@@ -117,6 +165,8 @@ class PatternNode:
     @property
     def rruo(self) -> float:
         """Mean ``sum(luo)``: the remaining occupancy under the length cap."""
+        if self._columns is not None:
+            return sum(self._columns[2]) / self.sup
         return sum(map(self.rruo_at.__getitem__, self.uo_at)) / self.sup
 
     @property
@@ -150,21 +200,26 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
 
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
     shares among the items after it in the same transaction.  The scan
-    reads ``rdb.kept()``, so ``rdb.transactions`` is never built, keeps
-    its columns in lists indexed by rank and walks each transaction's
-    ranks last first.  The top shares seen so far are a short
-    descending list, appended to while it has room, else its smallest
-    entry replaced by a larger share; it is re-sorted and re-summed,
-    largest first, only when it changes.  Each item's ``bits`` mark its
-    positions in the revised database, gathered in a bytearray holding
-    one bit per transaction.
+    reads ``rdb.kept()``, so ``rdb.transactions`` is never built, and
+    walks each transaction's ranks last first.  It appends each entry to
+    three compact columns of its item's rank: the tid to a list, the
+    share to an ``array('d')``, which keeps no float object, and the
+    capped remainder to a list, where consecutive entries share one
+    float.  The nodes keep these columns until a kept join, a bound sort
+    or iteration reads their dicts.  The top shares seen so far are a
+    short descending list, appended to while it has room, else its
+    smallest entry replaced by a larger share; it is re-sorted and
+    re-summed, largest first, only when it changes.  Each item's
+    ``bits`` mark its positions in the revised database, gathered in a
+    bytearray holding one bit per transaction.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
     items = rdb.order.items
     unit = [rdb.utility_table[item] for item in items]
-    uo_at: list[dict[int, float]] = [{} for _ in items]
-    rruo_at: list[dict[int, float]] = [{} for _ in items]
+    tids: list[list[int]] = [[] for _ in items]
+    shares = [array("d") for _ in items]
+    rests: list[list[float]] = [[] for _ in items]
     masks = [bytearray((rdb.database.size + 7) // 8) for _ in items]
     slots = maxlen - 1
     source = (rdb, maxlen)
@@ -176,8 +231,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
         rest = 0.0
         for r in reversed(ranks):
             share = entries[items[r]] * unit[r] / tu
-            uo_at[r][tid] = share
-            rruo_at[r][tid] = rest
+            tids[r].append(tid)
+            shares[r].append(share)
+            rests[r].append(rest)
             masks[r][byte] |= bit
             if len(top) < slots:
                 top.append(share)
@@ -190,8 +246,8 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
             rest = sum(top)
 
     return tuple(
-        PatternNode(
-            (item,), uo_at[r], uo_at[r], rruo_at[r], int.from_bytes(masks[r], "little"), source
+        PatternNode._compact(
+            (item,), tids[r], shares[r], rests[r], int.from_bytes(masks[r], "little"), source
         )
         for r, item in enumerate(items)
     )

@@ -1,16 +1,21 @@
 """Occupancy-list structures: initial build, joins, early aborts, and
 agreement with the direct-scan measures."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ids_of, small_databases
 from huopminer import (
+    GeneratorSpec,
     build_database,
     build_initial_nodes,
     build_total_order,
     construct,
+    generate_synthetic,
+    min_support_count,
     revise_database,
     support_counts,
 )
@@ -290,3 +295,65 @@ def test_node_is_its_own_uo_nlist(db, min_sc):
             walk([node for node in joined if node is not None])
 
     walk(list(nodes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 4), st.integers(1, 2))
+def test_compact_single_item_nodes_read_as_their_dicts(db, maxlen, min_sc):
+    # a fresh single-item node sums its compact columns in the order its
+    # dicts keep, so the summary read first equals the one over the dicts
+    # read afterwards, bit for bit
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
+    for node in build_initial_nodes(rdb, maxlen):
+        uo, rruo = node.uo, node.rruo
+        assert uo == sum(node.uo_at.values()) / node.sup
+        assert rruo == sum(map(node.rruo_at.__getitem__, node.uo_at)) / node.sup
+        assert node.rruo == rruo
+        assert node.last_at is node.uo_at
+
+    # on a fresh build, the first join ending in an item builds that
+    # item's dicts; it and every later node ending there share them
+    nodes = build_initial_nodes(rdb, maxlen)
+    single = {n.pattern: n for n in nodes}
+
+    def walk(exten, depth_left):
+        for pos, xa in enumerate(exten):
+            if depth_left == 0:
+                continue
+            sub = []
+            for xb in exten[pos + 1 :]:
+                joined = construct(None, xa, xb, 1)
+                if joined is not None:
+                    last = single[joined.pattern[-1:]]
+                    assert joined.last_at is last.last_at
+                    assert joined.rruo_at is last.rruo_at
+                    sub.append(joined)
+            walk(sub, depth_left - 1)
+
+    walk(list(nodes), maxlen - 1)
+
+
+def test_initial_nodes_stay_compact_while_every_join_aborts():
+    # sparse-wide scaled down: 95 frequent items, each in about 2.6 % of
+    # the transactions, so every join aborts on the masks and no node
+    # builds its tid-keyed dicts; those held about 114 B per entry, the
+    # compact columns hold about 44 under CPython 3.10 to 3.13
+    db = generate_synthetic(
+        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
+    )
+    min_sc = min_support_count(0.025, db.size)
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nodes = build_initial_nodes(rdb, 3)
+        aborted = sum(
+            construct(None, xa, xb, min_sc) is None
+            for pos, xa in enumerate(nodes)
+            for xb in nodes[pos + 1 :]
+        )
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert aborted == len(nodes) * (len(nodes) - 1) // 2 > 0
+    assert held / sum(n.sup for n in nodes) < 64
