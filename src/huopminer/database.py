@@ -9,9 +9,9 @@ recomputed afterwards, in particular not where a
 :class:`RevisedDatabase` view leaves infrequent items out.
 
 Each label of the utility table gets a dense integer id when a database
-is built, in ascending label order (numeric for all-digit labels,
-lexicographic otherwise), so comparing ids reproduces the natural order
-of the original identifiers.
+is built, in ascending label order (numeric for all-digit labels, of
+any length, lexicographic otherwise), so comparing ids reproduces the
+natural order of the original identifiers.
 """
 
 from __future__ import annotations
@@ -163,11 +163,14 @@ def min_support_count(alpha: float, db_size: int) -> int:
     return count
 
 
-def _label_key(label: str) -> tuple[int, int, str]:
-    # All-decimal labels compare numerically, everything else as text.
+def _label_key(label: str) -> tuple[int, int, str, str]:
+    # All-decimal labels compare numerically, everything else as text.  A
+    # number's ASCII digits, leading zeros stripped, compare by count, then
+    # as text: int() refuses strings past sys.get_int_max_str_digits().
     if label.isdecimal():
-        return (0, int(label), label)
-    return (1, 0, label)
+        digits = (label if label.isascii() else "".join(str(int(c)) for c in label)).lstrip("0")
+        return (0, len(digits), digits, label)
+    return (1, 0, "", label)
 
 
 def _number_items(

@@ -25,14 +25,16 @@ Nodes are built in two places, both as :class:`PatternNode`:
   join, a bound sort or iteration first reads them; on a wide, sparse
   database whose joins all abort on the masks, no dict is ever built.
 * :func:`construct` joins two sibling patterns (same prefix, the
-  extending items adjacent in the mining order).  A pattern's share in
-  a transaction is the sum of its items' shares, so a join adds the
-  later sibling's last-item share to the earlier sibling's share,
-  ``uo(prefix+a+b) = uo(prefix+a) + uo(b)``, reading only the two
-  operands.  That item also gives ``luo``, so a joined node shares the
-  later sibling's ``last_at``, ``rruo_at`` and ``source`` by reference:
-  every node ending in item ``i`` reads the dicts built for ``i``,
-  which may hold more tids than the node.
+  extending items adjacent in the mining order) by extending the left
+  operand with one item.  A pattern's share in a transaction is the sum
+  of its items' shares, so ``uo(prefix+a+b) = uo(prefix+a) + uo(b)``.
+  The join reads the left operand's ``uo_at``, both masks, and the
+  added item's share and remainder columns, ``last_at`` and ``rruo_at``,
+  as ``tids(prefix+a) & tids(b)`` is the union's tidset.  That item also
+  gives ``luo``, so a joined node shares the later sibling's
+  ``last_at``, ``rruo_at`` and ``source`` by reference: every node
+  ending in item ``i`` reads the dicts built for ``i``, which may hold
+  more tids than the node.
 
 Every node also carries ``bits``, the set of transactions it occurs in
 as an int bitmask.  A join intersects the operands' masks first and
@@ -76,7 +78,9 @@ class PatternNode:
     pattern does not occur in.  ``last_at`` is ``uo_at`` for a single
     item.  Only the tids of ``uo_at`` belong to the node.  ``source`` is
     the shared, read-only ``(rdb, maxlen)`` pair each iterated
-    ``UOTuple`` derives its ``luo`` from.
+    ``UOTuple`` derives its ``luo`` from.  A join reads a left operand's
+    ``uo_at``; of a right one it reads the mask and what its last item
+    shares: ``last_at``, ``rruo_at`` and ``source``.
 
     ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
     of the revised database, the ``k``-th transaction that keeps a
@@ -262,6 +266,8 @@ def construct(
     """Join sibling nodes ``xa`` and ``xb`` into their union pattern,
     adding per tid the share of ``xb``'s last item to ``xa``'s share.
 
+    It reads ``xa``'s ``uo_at``, both masks, and ``xb``'s ``last_at`` and
+    ``rruo_at``: a tid of ``xa`` in ``last_at`` is a tid of the union.
     Returns ``None`` when the union's support, counted from the
     intersected masks, is below ``min_sup_count``; this is the only way
     a join can come back empty.  ``prefix`` is not read.  It stays first
@@ -272,7 +278,6 @@ def construct(
     if bits.bit_count() < min_sup_count:
         return None
 
-    b = xb.uo_at  # the shared last-item column holds more tids than xb
     last = xb.last_at
-    uo_at = {tid: u + last[tid] for tid, u in xa.uo_at.items() if tid in b}
+    uo_at = {tid: u + last[tid] for tid, u in xa.uo_at.items() if tid in last}
     return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, last, xb.rruo_at, bits, xb.source)

@@ -16,7 +16,8 @@ no decision depends on it.  Occupancy is not anti-monotone and never
 prunes; ``minlen`` only filters what is reported.  The walk reads only
 a node's summary, ``pattern``, ``sup``, ``uo`` and ``rruo``:
 :mod:`huopminer.lists` builds, joins and bounds the nodes over their
-occupancy columns.
+occupancy columns.  A node's children are built in one pass over its
+later siblings; the counters are taken per frame, from list lengths.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ class SearchStats:
     the initial single items included.  ``constructions`` counts join
     attempts below the length cap, ``early_aborts`` the joins found
     infrequent by the bitmask and ``lub_prunes`` the subtrees cut by the
-    bound.  ``support_prunes`` is always 0; perfbench still reports it.
+    bound.  The first three are taken once per frame of the walk, from
+    list lengths.  ``support_prunes`` is always 0; perfbench still
+    reports it.
     """
 
     visited_nodes: int = 0
@@ -72,11 +75,11 @@ def search_subtree(
     frame per depth keeps only the current path's extension lists alive.
     """
     beta = params.beta
+    stats.visited_nodes += len(exten)
     stack = [(exten, enumerate(exten))]
     while stack:
         exten, siblings = stack[-1]
         for pos, xa in siblings:
-            stats.visited_nodes += 1
             if xa.uo >= beta and len(xa.pattern) >= params.minlen:
                 results.append(HUOPResult(pattern=xa.pattern, sup=xa.sup, uo=xa.uo))
             if len(xa.pattern) == params.maxlen:
@@ -88,16 +91,15 @@ def search_subtree(
             if xa.uo < beta and xa.uo + xa.rruo < beta and length_upper_bound(xa, min_sc) < beta:
                 stats.lub_prunes += 1
                 continue
-            sub_exten: list[PatternNode] = []
-            for xb in exten[pos + 1 :]:
-                stats.constructions += 1
-                node = construct(None, xa, xb, min_sc)
-                if node is None:
-                    stats.early_aborts += 1
-                else:
-                    sub_exten.append(node)
-            # Descend; this frame's iterator resumes after the subtree.
-            stack.append((sub_exten, enumerate(sub_exten)))
+            later = exten[pos + 1 :]
+            # Descend; this frame's iterator resumes after the subtree.  The
+            # children rebind exten, so once a subtree's frame is popped no
+            # local keeps its nodes alive while the next children are built.
+            exten = [n for xb in later if (n := construct(None, xa, xb, min_sc)) is not None]
+            stats.constructions += len(later)
+            stats.early_aborts += len(later) - len(exten)
+            stats.visited_nodes += len(exten)
+            stack.append((exten, enumerate(exten)))
             break
         else:
             stack.pop()

@@ -307,6 +307,42 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, fmt, tx_bytes, profit_text):
     assert "Traceback" not in err
 
 
+# past the 4300 digits CPython's int() accepts from a string by default
+LONG_LABEL = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "fmt, tx_text, profit_text, expected",
+    [
+        (
+            "qty",
+            f"a:2 {LONG_LABEL}:3\n{LONG_LABEL}:1\na:1\n",
+            f"a 2\n{LONG_LABEL} 5\n",
+            ["L #SUP: 2 #UO: 0.89474", "a #SUP: 2 #UO: 0.60526", "L a #SUP: 1 #UO: 1.00000"],
+        ),
+        (
+            "spmf",
+            f"{LONG_LABEL} 10:10:4 6\n{LONG_LABEL}:5:5\n10:3:3\n",
+            None,
+            ["10 #SUP: 2 #UO: 0.80000", "L #SUP: 2 #UO: 0.70000", "10 L #SUP: 1 #UO: 1.00000"],
+        ),
+    ],
+    ids=["qty", "spmf"],
+)
+def test_labels_past_the_int_digit_limit_mine(tmp_path, capsys, fmt, tx_text, profit_text, expected):
+    # the long label is numbered as a number: after "10", before "a"
+    tx = tmp_path / "input.txt"
+    tx.write_text(tx_text)
+    args = ["mine", "--input", str(tx), "--format", fmt, "--minsup", "0.3", "--minuo", "0.1"]
+    if profit_text is not None:
+        profit = tmp_path / "input.profit"
+        profit.write_text(profit_text)
+        args += ["--profit", str(profit)]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out.replace(LONG_LABEL, "L")
+    assert out.splitlines() == expected
+
+
 def test_bench_minuo_sweep(dataset, capsys):
     code = cli.main([
         "bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3"),

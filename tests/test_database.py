@@ -5,6 +5,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SAMPLE_ROWS, SAMPLE_TUS, small_databases, transaction
 from huopminer import (
@@ -70,6 +71,34 @@ def test_digit_labels_sort_numerically():
     # a digit that is not a decimal digit ("²") sorts as text, int() rejects it
     db = build_database([(1, {"²": 1, "10": 1, "2": 1})], {"²": 1, "2": 1, "10": 1})
     assert db.item_labels == ("2", "10", "²")
+
+
+# ASCII, Arabic-Indic and fullwidth decimal digits, and two characters
+# that are not decimal digits, so some labels sort as text
+_LABEL_CHARS = "0123456789" + "\u0660\u0661\u0669" + "\uff10\uff11\uff19" + "a\u00b2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda zeros, body: zeros + body,
+            st.sampled_from(["", "0", "00", "\u0660", "\uff10\u0660"]),
+            st.text(_LABEL_CHARS, min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=12,
+        unique=True,
+    )
+)
+def test_decimal_labels_are_numbered_as_their_integers(labels):
+    # the ids follow int(label), ties by the label's text, for every
+    # all-decimal label; any other label sorts after them, as text
+    def reference(label):
+        return (0, int(label), label) if label.isdecimal() else (1, 0, label)
+
+    db = build_database([], {label: 1 for label in labels})
+    assert db.item_labels == tuple(sorted(labels, key=reference))
 
 
 def test_revision_reorders_and_keeps_tu(sample_db):

@@ -229,9 +229,13 @@ def test_construct_returns_none_exactly_when_union_is_infrequent(db, maxlen):
     # for every threshold k at which xa is frequent, the join comes back
     # empty if and only if the union's true support is below k, and a
     # node it returns carries that support; the search relies on this to
-    # keep every node construct returns
+    # keep every node construct returns.  The join reads of xb only its
+    # mask and its last item's columns, so joining xa with that item's
+    # single-item node instead builds the same node, sharing the same
+    # last-item columns
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     nodes = build_initial_nodes(rdb, maxlen)
+    single = {n.pattern[0]: n for n in nodes}
 
     def walk(exten, depth_left):
         for pos, xa in enumerate(exten):
@@ -241,11 +245,19 @@ def test_construct_returns_none_exactly_when_union_is_infrequent(db, maxlen):
                 true_sup = len(_supporting_tids(db, union))
                 for k in range(1, xa.fuot.sup + 1):
                     joined = construct(None, xa, xb, k)
+                    by_item = construct(None, xa, single[xb.pattern[-1]], k)
                     if true_sup < k:
-                        assert joined is None
+                        assert joined is None and by_item is None
                     else:
-                        assert joined is not None
+                        assert joined is not None and by_item is not None
                         assert joined.fuot.sup == true_sup
+                        assert by_item.pattern == joined.pattern
+                        assert by_item.bits == joined.bits
+                        assert [(t, u.hex()) for t, u in by_item.uo_at.items()] == [
+                            (t, u.hex()) for t, u in joined.uo_at.items()
+                        ]
+                        assert by_item.last_at is joined.last_at
+                        assert by_item.rruo_at is joined.rruo_at
                 if true_sup >= 1:
                     sub.append(construct(None, xa, xb, 1))
             if depth_left > 0:

@@ -14,12 +14,14 @@ from huopminer import (
     build_database,
     build_initial_nodes,
     build_total_order,
+    construct,
+    min_support_count,
     mine,
     revise_database,
     support_counts,
     unconstrained_maxlen,
 )
-from huopminer import search
+from huopminer import lists, search
 from huopminer.measures import uo_of_pattern
 from huopminer.oracle import brute_force_mine
 from huopminer.search import length_upper_bound
@@ -275,22 +277,72 @@ def test_visited_nodes_monotone_in_cap(db):
 @given(small_databases(), st.integers(1, 6), st.floats(0.01, 1.0))
 def test_bound_pre_checks_decide_as_the_logged_bound(db, maxlen, beta):
     # the log bounds every node below the cap, the unlogged walk only the
-    # nodes neither uo nor uo + rruo keeps; both prune by the same rule
+    # nodes neither uo nor uo + rruo keeps; both prune by the same rule.
+    # The walk counts its joins per frame, so the counters must still
+    # equal the calls of construct and its None returns, and every node
+    # it visits is an initial node or a kept join
     params = MiningParams(0.25, beta, 1, maxlen)
+    order = build_total_order(support_counts(db), min_support_count(params.alpha, db.size))
     bounded = []
+    joins = Counter()
 
     def counting(node, min_sc):
         bounded.append(node)
         return length_upper_bound(node, min_sc)
 
+    def joining(*args):
+        node = construct(*args)
+        joins[node is None] += 1
+        return node
+
+    def run(log, **patches):
+        joins.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "construct", joining)
+            for name, patch in patches.items():
+                mp.setattr(search, name, patch)
+            results, stats = mine(db, params, bound_log=log)
+        assert stats.constructions == joins[True] + joins[False]
+        assert stats.early_aborts == joins[True]
+        assert stats.visited_nodes == len(order.items) + stats.constructions - stats.early_aborts
+        return results, stats
+
     log = []
-    logged, logged_stats = mine(db, params, bound_log=log)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "length_upper_bound", counting)
-        unlogged, stats = mine(db, params)
+    logged, logged_stats = run(log)
+    unlogged, stats = run(None, length_upper_bound=counting)
     assert unlogged == logged
     counters = ("visited_nodes", "constructions", "early_aborts", "lub_prunes")
     assert [getattr(stats, c) for c in counters] == [getattr(logged_stats, c) for c in counters]
     assert len(bounded) <= len(log)
     for node in bounded:
         assert node.uo < beta and node.uo + node.rruo < beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(2, 5))
+def test_a_left_subtree_is_freed_before_the_next_joins(db, maxlen):
+    # when a node starts its joins, every node one item longer that the
+    # walk built before it lies in a subtree the walk has left; at most
+    # the last join's result may still be referenced
+    live = Counter()
+
+    class Counted(lists.PatternNode):
+        def __init__(self, pattern, *args):
+            super().__init__(pattern, *args)
+            live[len(pattern)] += 1
+
+        def __del__(self):
+            live[len(self.pattern)] -= 1
+
+    started = set()
+
+    def joining(prefix, xa, xb, min_sc):
+        if xa.pattern not in started:
+            started.add(xa.pattern)
+            assert live[len(xa.pattern) + 1] <= 1
+        return construct(prefix, xa, xb, min_sc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lists, "PatternNode", Counted)
+        mp.setattr(search, "construct", joining)
+        mine(db, MiningParams(0.25, 0.01, 1, maxlen))
