@@ -213,17 +213,14 @@ def run_bench(args: argparse.Namespace) -> int:
 
 
 def run_gen(args: argparse.Namespace) -> int:
-    try:
-        spec = dataio.GeneratorSpec(
-            n_items=args.items,
-            n_transactions=args.transactions,
-            avg_transaction_len=args.avg_len,
-            max_quantity=args.max_quantity,
-            max_unit_utility=args.max_utility,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    spec = dataio.GeneratorSpec(
+        n_items=args.items,
+        n_transactions=args.transactions,
+        avg_transaction_len=args.avg_len,
+        max_quantity=args.max_quantity,
+        max_unit_utility=args.max_utility,
+        seed=args.seed,
+    )
     db = dataio.generate_synthetic(spec)
     profit = args.profit if args.profit else args.output + ".profit"
     dataio.write_quantity_profit(db, args.output, profit)

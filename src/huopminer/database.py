@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .errors import InvalidDatabaseError, InvalidParamsError, MissingUtilityError
+from .errors import InvalidDatabaseError, InvalidParamsError
 
 # A pattern is a tuple of item ids, kept sorted by the mining order.
 Pattern = tuple[int, ...]
@@ -163,12 +163,17 @@ def min_support_count(alpha: float, db_size: int) -> int:
     return count
 
 
+def _decimal_digits(text: str) -> str:
+    """The ASCII digits of a decimal string, leading zeros stripped."""
+    return (text if text.isascii() else "".join(str(int(c)) for c in text)).lstrip("0")
+
+
 def _label_key(label: str) -> tuple[int, int, str, str]:
     # All-decimal labels compare numerically, everything else as text.  A
-    # number's ASCII digits, leading zeros stripped, compare by count, then
-    # as text: int() refuses strings past sys.get_int_max_str_digits().
+    # number's digits compare by count, then as text: int() refuses
+    # strings past sys.get_int_max_str_digits().
     if label.isdecimal():
-        digits = (label if label.isascii() else "".join(str(int(c)) for c in label)).lstrip("0")
+        digits = _decimal_digits(label)
         return (0, len(digits), digits, label)
     return (1, 0, "", label)
 
@@ -232,7 +237,7 @@ def build_database(
         for label, qty in entries.items():
             item = ids.get(str(label))
             if item is None:
-                raise MissingUtilityError(str(label))
+                raise InvalidDatabaseError(f"no unit utility known for item {str(label)!r}")
             if not qty > 0:  # also rejects nan
                 raise InvalidDatabaseError(
                     f"quantity for item {str(label)!r} in transaction {tid} must be positive, got {qty!r}"

@@ -1,8 +1,11 @@
 """Exception hierarchy for the mining library.
 
-``InputError`` and its subclasses mark problems a caller can correct
-(bad files, bad parameters, refused oracle runs); everything else
-signals a bug in the library or in how it is being driven.
+``InputError`` marks a problem the caller can correct; the CLI exits 2
+on any of them.  Its subclasses name the kind: a file that breaks its
+text format, a database that breaks a structural rule, a parameter
+outside its domain.  ``PatternNotSupportedError`` is a measure asked
+about a pattern that is absent.  Anything else signals a bug in the
+library or in how it is driven.
 """
 
 from __future__ import annotations
@@ -17,44 +20,22 @@ class InputError(MiningError):
 
 
 class DatasetFormatError(InputError):
-    """A dataset file violates its text format."""
+    """A dataset file violates its text format, its declared TU included."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
-
-class DatasetConsistencyError(DatasetFormatError):
-    """Declared and recomputed values in a dataset file disagree."""
-
-
-class MissingUtilityError(InputError):
-    """An item occurs in a transaction but has no unit-utility entry."""
-
-    def __init__(self, item: object):
-        super().__init__(f"no unit utility known for item {item!r}")
-        self.item = item
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 class InvalidDatabaseError(InputError, ValueError):
-    """A database violates a structural invariant (quantities, tids, ...)."""
+    """A database violates a structural invariant (quantities, tids, an
+    item without a unit utility, ...)."""
 
 
 class InvalidParamsError(InputError, ValueError):
-    """Mining parameters outside their legal domain."""
-
-
-class OracleGuardError(InputError):
-    """The brute-force oracle refused a run that would enumerate too much."""
+    """Parameters outside their legal domain, the oracle's item cap
+    included."""
 
 
 class PatternNotSupportedError(MiningError, ValueError):
-    """A per-transaction measure was asked about a transaction that does
-    not contain the pattern."""
-
-
-class ZeroSupportError(MiningError, ValueError):
-    """A database-level measure was asked about a pattern no transaction
-    contains."""
+    """A measure was asked about a pattern that the transaction, or every
+    transaction of the database, does not contain."""

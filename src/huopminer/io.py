@@ -34,8 +34,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .database import HUOPResult, TransactionDatabase, _number_items, _transaction, build_database
-from .errors import DatasetConsistencyError, DatasetFormatError
+from .database import HUOPResult, TransactionDatabase, build_database
+from .database import _decimal_digits, _number_items, _transaction
+from .errors import DatasetFormatError, InvalidParamsError
 
 TU_TOLERANCE = 1e-6
 
@@ -47,6 +48,11 @@ _PAIR_MEMO_CAP = 4096
 
 # ---------------------------------------------------------------------------
 # parsing
+
+def _clip(text: str) -> str:
+    """``text`` as an error message echoes it: its first 40 characters."""
+    return text if len(text) <= 40 else text[:40] + "…"
+
 
 def _data_lines(source, allow_comments: bool) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, stripped line)`` for the data lines of a path
@@ -94,7 +100,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
         try:
             tu = float(parts[1])
         except ValueError:
-            raise DatasetFormatError(f"bad transaction utility {parts[1]!r}", no) from None
+            raise DatasetFormatError(f"bad transaction utility {_clip(parts[1])!r}", no) from None
         entries: dict[str, float] = {}
         total = 0.0
         for token, text in zip(items, utilities):
@@ -105,7 +111,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
             try:
                 value = float(text)
             except ValueError:
-                raise DatasetFormatError(f"bad utility value {text!r}", no) from None
+                raise DatasetFormatError(f"bad utility value {_clip(text)!r}", no) from None
             if not 0 < value < math.inf:
                 raise DatasetFormatError(f"utility for item {token!r} must be positive and finite", no)
             entries[sys.intern(token)] = value
@@ -114,9 +120,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
         # infinite TU still fails; the negated test fails a nan TU too
         slack = (len(items) + 1) * sys.float_info.epsilon * total
         if not abs(total - tu) <= TU_TOLERANCE + slack:
-            raise DatasetConsistencyError(
-                f"declared TU {tu} but utilities sum to {total}", no
-            )
+            raise DatasetFormatError(f"declared TU {tu} but utilities sum to {total}", no)
         tid += 1
         rows.append((tid, entries))
 
@@ -144,7 +148,7 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
         try:
             eu = float(text)
         except ValueError:
-            raise DatasetFormatError(f"bad unit utility {text!r}", no) from None
+            raise DatasetFormatError(f"bad unit utility {_clip(text)!r}", no) from None
         if not 0 < eu < math.inf:
             raise DatasetFormatError(f"unit utility for item {label!r} must be positive and finite", no)
         utilities[label] = eu
@@ -167,7 +171,15 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
                 try:
                     qty = int(qty_text)
                 except ValueError:
-                    raise DatasetFormatError(f"bad quantity {qty_text!r} for item {label!r}", no) from None
+                    if not qty_text.isdecimal():
+                        raise DatasetFormatError(
+                            f"bad quantity {_clip(qty_text)!r} for item {label!r}", no
+                        ) from None
+                    # a decimal past int()'s digit limit, never below 640.
+                    # Leading zeros do not count; 640 digits or more overflow
+                    # the float range at any unit utility, like the product below
+                    digits = _decimal_digits(qty_text)
+                    qty = int(digits or "0") if len(digits) < 640 else math.inf
                 if qty < 1:
                     raise DatasetFormatError(
                         f"quantity for item {label!r} must be a positive integer, got {qty}", no
@@ -209,11 +221,11 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         if self.n_items < 1 or self.n_transactions < 1:
-            raise ValueError("need at least one item and one transaction")
+            raise InvalidParamsError("need at least one item and one transaction")
         if not 1 <= self.avg_transaction_len <= self.n_items:
-            raise ValueError("avg_transaction_len must be in [1, n_items]")
+            raise InvalidParamsError("avg_transaction_len must be in [1, n_items]")
         if self.max_quantity < 1 or self.max_unit_utility < 1:
-            raise ValueError("max_quantity and max_unit_utility must be >= 1")
+            raise InvalidParamsError("max_quantity and max_unit_utility must be >= 1")
 
 
 def generate_synthetic(spec: GeneratorSpec) -> TransactionDatabase:

@@ -21,6 +21,9 @@ cross-check it, and the one definition of the ``luo`` in the
 rest in ascending rank, so an original transaction gives exactly what
 its revised counterpart gives: an iterated node reads the parsed
 database, no revised copy.
+
+A measure asked about an absent pattern raises ``PatternNotSupportedError``,
+naming the transaction that lacks it or saying that none holds it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import heapq
 from typing import Callable, Iterable, Mapping
 
 from .database import Pattern, RevisedDatabase, Transaction, TransactionDatabase
-from .errors import PatternNotSupportedError, ZeroSupportError
+from .errors import PatternNotSupportedError
 
 
 def _supports(pattern: Pattern, tx: Transaction) -> bool:
@@ -60,7 +63,7 @@ def _mean(
             total += measure(pattern, tx, *args)
             count += 1
     if count == 0:
-        raise ZeroSupportError(f"no transaction contains pattern {pattern}")
+        raise PatternNotSupportedError(f"no transaction contains pattern {pattern}")
     return total / count
 
 

@@ -17,7 +17,7 @@ from .database import (
     min_support_count,
     support_counts,
 )
-from .errors import OracleGuardError
+from .errors import InvalidParamsError
 from .measures import _mean, uo_in_transaction
 
 DEFAULT_MAX_ITEMS = 25
@@ -33,7 +33,7 @@ def _enumerate(db: TransactionDatabase, max_len: int, min_sc: int, max_items: in
     """
     counts = support_counts(db)
     if len(counts) > max_items:
-        raise OracleGuardError(
+        raise InvalidParamsError(
             f"{len(counts)} items exceed the enumeration cap of {max_items}; "
             "raise max_items to force the run"
         )

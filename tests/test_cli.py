@@ -343,6 +343,36 @@ def test_labels_past_the_int_digit_limit_mine(tmp_path, capsys, fmt, tx_text, pr
     assert out.splitlines() == expected
 
 
+def run_long_quantity(tmp_path, tx_text):
+    tx = tmp_path / "input.qty"
+    tx.write_text(tx_text)
+    profit = tmp_path / "input.profit"
+    profit.write_text("a 2\nb 3\n")
+    return cli.main(["mine", "--input", str(tx), "--format", "qty", "--profit", str(profit),
+                     "--minsup", "0.3", "--minuo", "0.1"])
+
+
+def test_quantities_past_the_int_digit_limit(tmp_path, capsys):
+    # a number past the limit overflows like a 400-digit one
+    assert run_long_quantity(tmp_path, f"a:{'7' * 400} b:1\n") == 2
+    overflow = capsys.readouterr()
+    assert overflow.err == "error: utility of transaction 1 is not finite\n"
+    assert run_long_quantity(tmp_path, f"a:{'7' * 5000} b:1\n") == 2
+    assert capsys.readouterr() == overflow
+    # leading zeros do not count toward the limit
+    assert run_long_quantity(tmp_path, "a:1 b:1\n") == 0
+    plain = capsys.readouterr()
+    assert run_long_quantity(tmp_path, f"a:{'0' * 4999}1 b:1\n") == 0
+    assert capsys.readouterr() == plain
+
+
+def test_a_long_malformed_quantity_is_echoed_clipped(tmp_path, capsys):
+    assert run_long_quantity(tmp_path, f"a:{'x' * 5000} b:1\n") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 1: bad quantity '{'x' * 40}…' for item 'a'\n"
+    assert len(err.encode()) < 200
+
+
 def test_bench_minuo_sweep(dataset, capsys):
     code = cli.main([
         "bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3"),
@@ -432,10 +462,24 @@ def test_gen_output_is_minable(tmp_path, capsys):
 
 
 def test_gen_validates_spec(tmp_path, capsys):
+    out = tmp_path / "x.qty"
     code = cli.main(["gen", "--items", "3", "--transactions", "5", "--avg-len", "9",
-                     "--output", str(tmp_path / "x.qty")])
+                     "--output", str(out)])
     assert code == 2
-    assert "error: " in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: avg_transaction_len must be in [1, n_items]\n"
+    # each field out of its domain; the flag given last overrides the valid one
+    for flag, message in [
+        ("--items", "need at least one item and one transaction"),
+        ("--transactions", "need at least one item and one transaction"),
+        ("--avg-len", "avg_transaction_len must be in [1, n_items]"),
+        ("--max-quantity", "max_quantity and max_unit_utility must be >= 1"),
+        ("--max-utility", "max_quantity and max_unit_utility must be >= 1"),
+    ]:
+        code = cli.main(["gen", "--items", "6", "--transactions", "5", "--avg-len", "2",
+                         flag, "0", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_threads_do_not_change_output(dataset, tmp_path):

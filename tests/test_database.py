@@ -18,7 +18,7 @@ from huopminer import (
     revise_database,
     support_counts,
 )
-from huopminer.errors import InvalidDatabaseError, InvalidParamsError, MissingUtilityError
+from huopminer.errors import InvalidDatabaseError, InvalidParamsError
 
 
 def test_tu_per_transaction(sample_db):
@@ -213,7 +213,7 @@ def test_build_database_rejects_bad_rows():
         build_database([(1, {"a": 1}), (1, {"a": 1})], {"a": 1})
     with pytest.raises(InvalidDatabaseError):
         build_database([(0, {"a": 1})], {"a": 1})
-    with pytest.raises(MissingUtilityError):
+    with pytest.raises(InvalidDatabaseError, match="no unit utility known for item 'b'"):
         build_database([(1, {"a": 1, "b": 2})], {"a": 1})
     with pytest.raises(InvalidDatabaseError):
         build_database([(1, {"a": 1})], {"a": 0})
@@ -244,7 +244,7 @@ def test_build_database_numbers_and_checks_every_utility_entry():
 
 def test_build_database_reports_errors_in_row_order():
     # the rows are read once, so the first bad row is the one reported
-    with pytest.raises(MissingUtilityError, match="'b'"):
+    with pytest.raises(InvalidDatabaseError, match="no unit utility known for item 'b'"):
         build_database([(1, {"b": 1}), (1, {"a": 1})], {"a": 1})
     with pytest.raises(InvalidDatabaseError, match="strictly increasing"):
         build_database([(1, {"a": 1}), (1, {"b": 1})], {"a": 1})

@@ -1,6 +1,7 @@
 """Dataset parsing, synthetic generation, and the writers."""
 
 import io as stdio
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from huopminer import (
     write_results,
     write_stats_csv,
 )
-from huopminer.errors import DatasetConsistencyError, DatasetFormatError, InvalidDatabaseError
+from huopminer.errors import DatasetFormatError, InvalidDatabaseError, InvalidParamsError
 from huopminer.oracle import brute_force_mine
 
 # The sample rows in the two text encodings.  In the utility-list lines
@@ -137,6 +138,12 @@ def test_parse_errors_come_in_file_order():
         ("a:1\na:1 q:1\n", "line 2: item 'q' has no profit entry"),
         # a line's pairs are all checked before its utility sum
         ("a:1" + "0" * 400 + " b:0\n", "line 1: quantity for item 'b' must be a positive integer"),
+        # also when the quantity is past int()'s digit limit
+        pytest.param(
+            "a:" + "7" * 5000 + " b:0\n",
+            "line 1: quantity for item 'b' must be a positive integer",
+            id="5000-digit quantity then b:0",
+        ),
     ],
 )
 def test_parse_quantity_profit_error_precedence(text, message):
@@ -195,6 +202,27 @@ def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
     qty_text = "".join(f"{label}:{qty}\n" for _, entries in rows for label, qty in entries.items())
     got = parse_quantity_profit(stdio.StringIO(qty_text), stdio.StringIO("a 3\nb 0.7\nc 2\n"))
     assert_same_database(got, build_database(rows, {"a": 3.0, "b": 0.7, "c": 2.0}))
+
+
+def test_parsed_entries_hold_few_bytes():
+    # the parsed database sets the peak memory of a load-bound run
+    db = generate_synthetic(
+        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
+    )
+    tx_text, profit_text = stdio.StringIO(), stdio.StringIO()
+    write_quantity_profit(db, tx_text, profit_text)
+    tx_text.seek(0)
+    profit_text.seek(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_quantity_profit(tx_text, profit_text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(tx.entries) for tx in parsed.transactions)
+    assert entries == sum(len(tx.entries) for tx in db.transactions)
+    assert held / entries < 96
 
 
 def test_unused_profit_entries_change_no_answer(tmp_path):
@@ -291,7 +319,7 @@ def test_parse_spmf_rejects_malformed(line):
 
 
 def test_parse_spmf_checks_consistency():
-    with pytest.raises(DatasetConsistencyError) as err:
+    with pytest.raises(DatasetFormatError, match=r"declared TU 11\.0 but utilities sum to 10\.0") as err:
         parse_spmf_utility(stdio.StringIO("1 2:11:4 6\n"))
     assert "line 1" in str(err.value)
     # tiny float dust is tolerated
@@ -334,12 +362,19 @@ def test_generator_unit_everything():
 
 
 def test_generator_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec(n_items=3, n_transactions=5, avg_transaction_len=4)
-    with pytest.raises(ValueError):
-        GeneratorSpec(n_items=0, n_transactions=5, avg_transaction_len=1)
-    with pytest.raises(ValueError):
-        GeneratorSpec(n_items=3, n_transactions=5, avg_transaction_len=1, max_quantity=0)
+    # each field out of its domain is a parameter error, still a ValueError
+    for field, value, message in [
+        ("n_items", 0, "need at least one item and one transaction"),
+        ("n_transactions", 0, "need at least one item and one transaction"),
+        ("avg_transaction_len", 0, r"avg_transaction_len must be in \[1, n_items\]"),
+        ("avg_transaction_len", 4, r"avg_transaction_len must be in \[1, n_items\]"),
+        ("max_quantity", 0, "max_quantity and max_unit_utility must be >= 1"),
+        ("max_unit_utility", 0, "max_quantity and max_unit_utility must be >= 1"),
+    ]:
+        fields = {"n_items": 3, "n_transactions": 5, "avg_transaction_len": 2, field: value}
+        with pytest.raises(InvalidParamsError, match=message):
+            GeneratorSpec(**fields)
+    assert issubclass(InvalidParamsError, ValueError)
 
 
 def test_generated_database_round_trips(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import db_and_supported_pattern, ids_of, small_databases, transaction
 from huopminer import build_database, build_total_order, revise_database, support_counts
-from huopminer.errors import PatternNotSupportedError, ZeroSupportError
+from huopminer.errors import PatternNotSupportedError
 from huopminer.measures import (
     luo_in_transaction,
     rruo_in_transaction,
@@ -52,21 +52,21 @@ def test_uo_of_pattern(sample_db):
 
 def test_uo_errors(sample_db):
     ac = ids_of(sample_db, "ac")
-    with pytest.raises(PatternNotSupportedError):
+    with pytest.raises(PatternNotSupportedError, match="transaction 4 does not contain"):
         uo_in_transaction(ac, transaction(sample_db, 4), sample_db.utility_table)
     db = build_database([(1, {"a": 1}), (2, {"b": 1})], {"a": 1, "b": 1})
-    with pytest.raises(ZeroSupportError):
+    with pytest.raises(PatternNotSupportedError, match="no transaction contains pattern"):
         uo_of_pattern(ids_of(db, "ab"), db)
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, message",
     [
-        (lambda ab, tx, rdb: ruo_in_transaction(ab, tx, rdb), PatternNotSupportedError),
-        (lambda ab, tx, rdb: luo_in_transaction(ab, tx, rdb, 3), PatternNotSupportedError),
-        (lambda ab, tx, rdb: rruo_in_transaction(ab, tx, rdb, 3), PatternNotSupportedError),
-        (lambda ab, tx, rdb: ruo_of_pattern(ab, rdb), ZeroSupportError),
-        (lambda ab, tx, rdb: rruo_of_pattern(ab, rdb, 3), ZeroSupportError),
+        (lambda ab, tx, rdb: ruo_in_transaction(ab, tx, rdb), "transaction 1 does not contain"),
+        (lambda ab, tx, rdb: luo_in_transaction(ab, tx, rdb, 3), "transaction 1 does not contain"),
+        (lambda ab, tx, rdb: rruo_in_transaction(ab, tx, rdb, 3), "transaction 1 does not contain"),
+        (lambda ab, tx, rdb: ruo_of_pattern(ab, rdb), "no transaction contains pattern"),
+        (lambda ab, tx, rdb: rruo_of_pattern(ab, rdb, 3), "no transaction contains pattern"),
     ],
     ids=[
         "ruo_in_transaction",
@@ -76,11 +76,11 @@ def test_uo_errors(sample_db):
         "rruo_of_pattern",
     ],
 )
-def test_tail_measure_errors(call, error):
+def test_tail_measure_errors(call, message):
     # neither transaction holds a and b together
     db = build_database([(1, {"a": 1}), (2, {"b": 1})], {"a": 1, "b": 1})
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
-    with pytest.raises(error):
+    with pytest.raises(PatternNotSupportedError, match=message):
         call(ids_of(db, "ab"), transaction(rdb, 1), rdb)
 
 

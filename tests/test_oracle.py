@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import GOLDEN_18, ids_of, results_by_label, small_databases
 from huopminer import MiningParams, build_database
-from huopminer.errors import OracleGuardError
+from huopminer.errors import InvalidParamsError
 from huopminer.measures import uo_of_pattern
 from huopminer.oracle import brute_force_mine, enumerate_supported
 
@@ -73,9 +73,10 @@ def test_guard_refuses_wide_vocabularies():
     db = build_database(
         [(1, {label: 1 for label in labels})], {label: 1 for label in labels}
     )
-    with pytest.raises(OracleGuardError):
+    refused = "26 items exceed the enumeration cap of 25; raise max_items to force the run"
+    with pytest.raises(InvalidParamsError, match=refused):
         enumerate_supported(db, 1)
-    with pytest.raises(OracleGuardError):
+    with pytest.raises(InvalidParamsError, match=refused):
         brute_force_mine(db, MiningParams(0.5, 0.5, 1, 1))
     # explicit override runs anyway
     assert len(enumerate_supported(db, 1, max_items=30)) == 26
