@@ -182,20 +182,10 @@ def _number_items(
     utilities: Mapping[str, float],
 ) -> tuple[tuple[str, ...], dict[str, int], dict[int, float]]:
     """The labels of ``utilities`` in id order, each label's id and the
-    id-keyed table, checked as :func:`build_database` states."""
-    util: dict[str, float] = {}
-    for key, eu in utilities.items():
-        label = str(key)
-        if not 0 < eu < math.inf:
-            raise InvalidDatabaseError(
-                f"unit utility for item {label!r} must be positive and finite, got {eu!r}"
-            )
-        if label in util:  # keys such as 1 and "1" name one item
-            raise InvalidDatabaseError(f"the utility table lists item {label!r} twice")
-        util[label] = float(eu)
-    labels = tuple(sorted(util, key=_label_key))
+    id-keyed table; the table is taken as it is, unchecked."""
+    labels = tuple(sorted(utilities, key=_label_key))
     ids = {label: i for i, label in enumerate(labels)}
-    table = {i: util[label] for i, label in enumerate(labels)}
+    table = {i: utilities[label] for i, label in enumerate(labels)}
     return labels, ids, table
 
 
@@ -211,19 +201,28 @@ def build_database(
     utilities: Mapping[str, float],
 ) -> TransactionDatabase:
     """Assemble a database from label-keyed ``(tid, {label: quantity})``
-    rows, as the spmf parser, the generator and library callers hold
-    them.
+    rows, any iterable: the spmf parser and the generator stream them.
 
-    Every entry of ``utilities`` is an item: its unit utility must be
-    positive and finite, and its label, coerced to a string, gets a dense
-    id in ascending label order, whether or not a row lists it.  ``rows``
-    is then read once, each row converted to its id-keyed transaction as
-    it arrives, so errors come in row order.  Each row's items need an
-    entry in ``utilities``; tids must be positive and strictly
-    increasing, quantities positive, the labels of the table and of each
-    row distinct after coercion and transaction utilities finite.
+    Every entry of ``utilities`` is an item, checked first: its unit
+    utility must be positive and finite, and its label, coerced to a
+    string, gets a dense id in ascending label order, whether or not a row
+    lists it.  ``rows`` is then read once, each row converted to its
+    id-keyed transaction as it arrives, so errors come in row order.  Each
+    row's items need an entry in ``utilities``; tids must be positive and
+    strictly increasing, quantities positive, the labels of the table and
+    of each row distinct after coercion and transaction utilities finite.
     """
-    labels, ids, table = _number_items(utilities)
+    util: dict[str, float] = {}
+    for key, eu in utilities.items():
+        label = str(key)
+        if not 0 < eu < math.inf:
+            raise InvalidDatabaseError(
+                f"unit utility for item {label!r} must be positive and finite, got {eu!r}"
+            )
+        if label in util:  # keys such as 1 and "1" name one item
+            raise InvalidDatabaseError(f"the utility table lists item {label!r} twice")
+        util[label] = float(eu)
+    labels, ids, table = _number_items(util)
     transactions = []
     last_tid = 0
     for tid, entries in rows:

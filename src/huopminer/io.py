@@ -8,10 +8,10 @@ Two text formats are supported, both UTF-8 text whose lines end where
       item1 item2 ... itemK:TU:u1 u2 ... uK
 
   where ``uj`` is the total utility of ``itemj`` in the transaction and
-  ``TU`` their sum.  Items are integer tokens.  Ingestion folds each
-  ``uj`` into a synthetic quantity against a unit utility of 1; every
-  downstream formula only ever consumes the product, so mining results
-  are unaffected.
+  ``TU`` their sum.  Items are integer tokens, numbered from the text
+  before each line's first colon; the lines then stream one at a time
+  into the database, each ``uj`` folded into a quantity against a unit
+  utility of 1, which changes no product and so no mining result.
 
 * quantity-profit pairs, a transactions file of ``item:quantity`` pairs
   plus a profit file of ``item unit_utility`` lines.  ``#`` starts a
@@ -21,7 +21,7 @@ Two text formats are supported, both UTF-8 text whose lines end where
   transactions, with a bounded memo of the pair texts already read.
 
 Transaction ids are assigned 1-based in file order, and errors are
-reported in file order too.
+reported in file order too, quoting file text cut to 40 characters.
 """
 
 from __future__ import annotations
@@ -75,17 +75,32 @@ def _data_lines(source, allow_comments: bool) -> Iterator[tuple[int, str]]:
         yield no, line
 
 
+def _float(text: str, what: str, no: int) -> float:
+    """``text`` as a float, or the format error that names it ``what``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DatasetFormatError(f"bad {what} {_clip(text)!r}", no) from None
+
+
 def parse_spmf_utility(source) -> TransactionDatabase:
     """Parse utility-list lines into a database.
 
-    Rejects malformed lines, duplicate items within a line, non-positive
-    or non-finite utilities, and lines whose declared TU is not within
+    The vocabulary is the items before each line's first colon; the lines
+    are then checked and converted one at a time, in file order.  Rejects
+    malformed lines, duplicate items within a line, non-positive or
+    non-finite utilities, and lines whose declared TU is not within
     ``TU_TOLERANCE`` of the sum of the per-item utilities, widened by the
     rounding error a float sum of that many values can carry.
     """
-    rows = []
-    tid = 0
-    for no, line in _data_lines(source, allow_comments=False):
+    lines = list(_data_lines(source, allow_comments=False))
+    vocabulary = {label for _, line in lines for label in line.partition(":")[0].split()}
+    return build_database(_spmf_rows(lines), dict.fromkeys(vocabulary, 1.0))
+
+
+def _spmf_rows(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict[str, float]]]:
+    """The ``(tid, {item: utility})`` row of each numbered line, checked."""
+    for tid, (no, line) in enumerate(lines, start=1):
         parts = line.split(":")
         if len(parts) != 3:
             raise DatasetFormatError("expected 'items:TU:utilities' with two colons", no)
@@ -94,38 +109,26 @@ def parse_spmf_utility(source) -> TransactionDatabase:
         if not items:
             raise DatasetFormatError("no items in transaction", no)
         if len(items) != len(utilities):
-            raise DatasetFormatError(
-                f"{len(items)} items but {len(utilities)} utility values", no
-            )
-        try:
-            tu = float(parts[1])
-        except ValueError:
-            raise DatasetFormatError(f"bad transaction utility {_clip(parts[1])!r}", no) from None
+            raise DatasetFormatError(f"{len(items)} items but {len(utilities)} utility values", no)
+        tu = _float(parts[1], "transaction utility", no)
         entries: dict[str, float] = {}
         total = 0.0
         for token, text in zip(items, utilities):
             if not token.isdecimal():
-                raise DatasetFormatError(f"item {token!r} is not a non-negative integer", no)
+                raise DatasetFormatError(f"item {_clip(token)!r} is not a non-negative integer", no)
             if token in entries:
-                raise DatasetFormatError(f"duplicate item {token!r}", no)
-            try:
-                value = float(text)
-            except ValueError:
-                raise DatasetFormatError(f"bad utility value {_clip(text)!r}", no) from None
+                raise DatasetFormatError(f"duplicate item {_clip(token)!r}", no)
+            value = _float(text, "utility value", no)
             if not 0 < value < math.inf:
-                raise DatasetFormatError(f"utility for item {token!r} must be positive and finite", no)
-            entries[sys.intern(token)] = value
+                raise DatasetFormatError(f"utility for item {_clip(token)!r} must be positive and finite", no)
+            entries[token] = value
             total += value
         # the rounding slack scales with the sum, not with tu, so that an
         # infinite TU still fails; the negated test fails a nan TU too
         slack = (len(items) + 1) * sys.float_info.epsilon * total
         if not abs(total - tu) <= TU_TOLERANCE + slack:
             raise DatasetFormatError(f"declared TU {tu} but utilities sum to {total}", no)
-        tid += 1
-        rows.append((tid, entries))
-
-    vocabulary = {label for _, entries in rows for label in entries}
-    return build_database(rows, {label: 1.0 for label in vocabulary})
+        yield tid, entries
 
 
 def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
@@ -144,13 +147,10 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             raise DatasetFormatError("expected 'item unit_utility'", no)
         label, text = fields
         if label in utilities:
-            raise DatasetFormatError(f"duplicate profit entry for item {label!r}", no)
-        try:
-            eu = float(text)
-        except ValueError:
-            raise DatasetFormatError(f"bad unit utility {_clip(text)!r}", no) from None
+            raise DatasetFormatError(f"duplicate profit entry for item {_clip(label)!r}", no)
+        eu = _float(text, "unit utility", no)
         if not 0 < eu < math.inf:
-            raise DatasetFormatError(f"unit utility for item {label!r} must be positive and finite", no)
+            raise DatasetFormatError(f"unit utility for item {_clip(label)!r} must be positive and finite", no)
         utilities[label] = eu
     labels, ids, table = _number_items(utilities)
 
@@ -164,16 +164,16 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             if entry is None:
                 label, sep, qty_text = pair.rpartition(":")
                 if not sep or not label:
-                    raise DatasetFormatError(f"expected 'item:quantity', got {pair!r}", no)
+                    raise DatasetFormatError(f"expected 'item:quantity', got {_clip(pair)!r}", no)
                 item = ids.get(label)
                 if item in by_id:
-                    raise DatasetFormatError(f"duplicate item {label!r}", no)
+                    raise DatasetFormatError(f"duplicate item {_clip(label)!r}", no)
                 try:
                     qty = int(qty_text)
                 except ValueError:
                     if not qty_text.isdecimal():
                         raise DatasetFormatError(
-                            f"bad quantity {_clip(qty_text)!r} for item {label!r}", no
+                            f"bad quantity {_clip(qty_text)!r} for item {_clip(label)!r}", no
                         ) from None
                     # a decimal past int()'s digit limit, never below 640.
                     # Leading zeros do not count; 640 digits or more overflow
@@ -182,10 +182,11 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
                     qty = int(digits or "0") if len(digits) < 640 else math.inf
                 if qty < 1:
                     raise DatasetFormatError(
-                        f"quantity for item {label!r} must be a positive integer, got {qty}", no
+                        f"quantity for item {_clip(label)!r} must be a positive integer,"
+                        f" got {_clip(str(qty))}", no
                     )
                 if item is None:
-                    raise DatasetFormatError(f"item {label!r} has no profit entry", no)
+                    raise DatasetFormatError(f"item {_clip(label)!r} has no profit entry", no)
                 try:
                     u = qty * table[item]
                 except OverflowError:  # an int quantity beyond the float range
@@ -195,7 +196,7 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
             else:
                 item, qty, u = entry
                 if item in by_id:
-                    raise DatasetFormatError(f"duplicate item {labels[item]!r}", no)
+                    raise DatasetFormatError(f"duplicate item {_clip(labels[item])!r}", no)
             by_id[item] = qty
             tu += u
         transactions.append(_transaction(tid, by_id, tu))
@@ -237,12 +238,12 @@ def generate_synthetic(spec: GeneratorSpec) -> TransactionDatabase:
     rng = random.Random(spec.seed)
     labels = [str(i) for i in range(1, spec.n_items + 1)]
     utilities = {label: rng.randint(1, spec.max_unit_utility) for label in labels}
-    rows = []
-    for tid in range(1, spec.n_transactions + 1):
-        length = min(rng.randint(1, 2 * spec.avg_transaction_len - 1), spec.n_items)
-        chosen = rng.sample(labels, length)
-        rows.append((tid, {label: rng.randint(1, spec.max_quantity) for label in chosen}))
-    return build_database(rows, utilities)
+    def rows() -> Iterator[tuple[int, dict[str, int]]]:
+        for tid in range(1, spec.n_transactions + 1):
+            length = min(rng.randint(1, 2 * spec.avg_transaction_len - 1), spec.n_items)
+            chosen = rng.sample(labels, length)
+            yield tid, {label: rng.randint(1, spec.max_quantity) for label in chosen}
+    return build_database(rows(), utilities)
 
 
 # ---------------------------------------------------------------------------

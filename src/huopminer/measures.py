@@ -32,7 +32,7 @@ import heapq
 from typing import Callable, Iterable, Mapping
 
 from .database import Pattern, RevisedDatabase, Transaction, TransactionDatabase
-from .errors import PatternNotSupportedError
+from .errors import InvalidParamsError, PatternNotSupportedError
 
 
 def _supports(pattern: Pattern, tx: Transaction) -> bool:
@@ -108,7 +108,7 @@ def luo_in_transaction(
     pattern = tuple(pattern)
     slots = maxlen - len(pattern)
     if slots < 0:
-        raise ValueError(f"pattern longer than maxlen: {len(pattern)} > {maxlen}")
+        raise InvalidParamsError(f"pattern longer than maxlen: {len(pattern)} > {maxlen}")
     _checked_pattern(pattern, tx)
     if slots == 0:
         return ()

@@ -307,6 +307,17 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, fmt, tx_bytes, profit_text):
     assert "Traceback" not in err
 
 
+def mine_text(tmp_path, tx_text, profit_text="a 2\nb 3\n", fmt="qty"):
+    tx = tmp_path / "input.txt"
+    tx.write_text(tx_text)
+    args = ["mine", "--input", str(tx), "--format", fmt, "--minsup", "0.3", "--minuo", "0.1"]
+    if fmt == "qty":
+        profit = tmp_path / "input.profit"
+        profit.write_text(profit_text)
+        args += ["--profit", str(profit)]
+    return cli.main(args)
+
+
 # past the 4300 digits CPython's int() accepts from a string by default
 LONG_LABEL = "7" * 5000
 
@@ -331,45 +342,79 @@ LONG_LABEL = "7" * 5000
 )
 def test_labels_past_the_int_digit_limit_mine(tmp_path, capsys, fmt, tx_text, profit_text, expected):
     # the long label is numbered as a number: after "10", before "a"
-    tx = tmp_path / "input.txt"
-    tx.write_text(tx_text)
-    args = ["mine", "--input", str(tx), "--format", fmt, "--minsup", "0.3", "--minuo", "0.1"]
-    if profit_text is not None:
-        profit = tmp_path / "input.profit"
-        profit.write_text(profit_text)
-        args += ["--profit", str(profit)]
-    assert cli.main(args) == 0
+    assert mine_text(tmp_path, tx_text, profit_text, fmt) == 0
     out = capsys.readouterr().out.replace(LONG_LABEL, "L")
     assert out.splitlines() == expected
 
 
-def run_long_quantity(tmp_path, tx_text):
-    tx = tmp_path / "input.qty"
-    tx.write_text(tx_text)
-    profit = tmp_path / "input.profit"
-    profit.write_text("a 2\nb 3\n")
-    return cli.main(["mine", "--input", str(tx), "--format", "qty", "--profit", str(profit),
-                     "--minsup", "0.3", "--minuo", "0.1"])
-
-
 def test_quantities_past_the_int_digit_limit(tmp_path, capsys):
     # a number past the limit overflows like a 400-digit one
-    assert run_long_quantity(tmp_path, f"a:{'7' * 400} b:1\n") == 2
+    assert mine_text(tmp_path, f"a:{'7' * 400} b:1\n") == 2
     overflow = capsys.readouterr()
     assert overflow.err == "error: utility of transaction 1 is not finite\n"
-    assert run_long_quantity(tmp_path, f"a:{'7' * 5000} b:1\n") == 2
+    assert mine_text(tmp_path, f"a:{'7' * 5000} b:1\n") == 2
+    assert capsys.readouterr() == overflow
+    # a quantity past the float range overflows at any unit utility: the
+    # product is taken in floats, though 1e400 * 1e-300 is only 1e100
+    assert mine_text(tmp_path, f"a:1{'0' * 400}\n", "a 1e-300\n") == 2
     assert capsys.readouterr() == overflow
     # leading zeros do not count toward the limit
-    assert run_long_quantity(tmp_path, "a:1 b:1\n") == 0
+    assert mine_text(tmp_path, "a:1 b:1\n") == 0
     plain = capsys.readouterr()
-    assert run_long_quantity(tmp_path, f"a:{'0' * 4999}1 b:1\n") == 0
+    assert mine_text(tmp_path, f"a:{'0' * 4999}1 b:1\n") == 0
     assert capsys.readouterr() == plain
 
 
-def test_a_long_malformed_quantity_is_echoed_clipped(tmp_path, capsys):
-    assert run_long_quantity(tmp_path, f"a:{'x' * 5000} b:1\n") == 2
+# 5000-character tokens; an spmf item must be decimal to pass its first check
+X, Z, P, D = "x" * 5000, "z" * 5000, "p" * 5000, "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "fmt, tx_text, profit_text, message",
+    [
+        pytest.param("qty", f"a:{X} b:1\n", "a 2\nb 3\n",
+                     f"line 1: bad quantity '{'x' * 40}…' for item 'a'", id="quantity"),
+        pytest.param("qty", f"{X}\n", "a 2\n",
+                     f"line 1: expected 'item:quantity', got '{'x' * 40}…'", id="pair"),
+        pytest.param("qty", f"{Z}:1\n", "a 2\n",
+                     f"line 1: item '{'z' * 40}…' has no profit entry", id="unknown label"),
+        pytest.param("qty", f"{Z}:x\n", "a 2\n",
+                     f"line 1: bad quantity 'x' for item '{'z' * 40}…'", id="label of a bad quantity"),
+        pytest.param("qty", f"{Z}:0\n", "a 2\n",
+                     f"line 1: quantity for item '{'z' * 40}…' must be a positive integer, got 0",
+                     id="label of a zero quantity"),
+        pytest.param("qty", f"a:-{'9' * 4000}\n", "a 2\n",
+                     f"line 1: quantity for item 'a' must be a positive integer, got -{'9' * 39}…",
+                     id="negative quantity"),
+        pytest.param("qty", f"{Z}:1 {Z}:2\n", f"{Z} 2\n",
+                     f"line 1: duplicate item '{'z' * 40}…'", id="duplicate label"),
+        pytest.param("qty", f"{Z}:1 {Z}:1\n", f"{Z} 2\n",
+                     f"line 1: duplicate item '{'z' * 40}…'", id="duplicate pair"),
+        pytest.param("qty", "a:1\n", f"{P} 1\n{P} 1\n",
+                     f"line 2: duplicate profit entry for item '{'p' * 40}…'", id="duplicate profit"),
+        pytest.param("qty", "a:1\n", f"{P} 0\n",
+                     f"line 1: unit utility for item '{'p' * 40}…' must be positive and finite",
+                     id="zero unit utility"),
+        pytest.param("qty", "a:1\n", f"a {X}\n",
+                     f"line 1: bad unit utility '{'x' * 40}…'", id="bad unit utility"),
+        pytest.param("spmf", f"{'y' * 5000}:1:1\n", None,
+                     f"line 1: item '{'y' * 40}…' is not a non-negative integer", id="spmf item"),
+        pytest.param("spmf", f"{D} {D}:2:1 1\n", None,
+                     f"line 1: duplicate item '{'7' * 40}…'", id="spmf duplicate"),
+        pytest.param("spmf", f"{D}:0:0\n", None,
+                     f"line 1: utility for item '{'7' * 40}…' must be positive and finite",
+                     id="spmf zero utility"),
+        pytest.param("spmf", f"1:1:{X}\n", None,
+                     f"line 1: bad utility value '{'x' * 40}…'", id="spmf bad utility"),
+        pytest.param("spmf", f"1:{X}:1\n", None,
+                     f"line 1: bad transaction utility '{'x' * 40}…'", id="spmf bad TU"),
+    ],
+)
+def test_a_long_malformed_quantity_is_echoed_clipped(tmp_path, capsys, fmt, tx_text, profit_text, message):
+    # every error that quotes file text cuts it to its first 40 characters
+    assert mine_text(tmp_path, tx_text, profit_text, fmt) == 2
     err = capsys.readouterr().err
-    assert err == f"error: line 1: bad quantity '{'x' * 40}…' for item 'a'\n"
+    assert err == f"error: {message}\n"
     assert len(err.encode()) < 200
 
 

@@ -125,6 +125,15 @@ def test_parse_errors_come_in_file_order():
         parse_quantity_profit(stdio.StringIO(text), stdio.StringIO(SAMPLE_PROFIT_FILE))
 
 
+def test_parse_spmf_errors_come_in_file_order():
+    # line 1 adds up to 1e308 twice, a sum past the float range that its
+    # declared TU check lets through, and line 2 is malformed: the lines
+    # stream into the database one at a time, so line 1 is reported
+    text = "1 2:1e308:1e308 1e308\n1 2:10:4\n"
+    with pytest.raises(InvalidDatabaseError, match="utility of transaction 1 is not finite"):
+        parse_spmf_utility(stdio.StringIO(text))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -223,6 +232,22 @@ def test_parsed_entries_hold_few_bytes():
     entries = sum(len(tx.entries) for tx in parsed.transactions)
     assert entries == sum(len(tx.entries) for tx in db.transactions)
     assert held / entries < 96
+
+
+def test_generator_streams_its_rows():
+    # each drawn row is converted before the next one is drawn, so the
+    # label-keyed rows never all live at once beside the database
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = generate_synthetic(
+            GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
+        )
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert db.size == 20_000
+    assert peak - before <= 1.2 * (held - before)
 
 
 def test_unused_profit_entries_change_no_answer(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import db_and_supported_pattern, ids_of, small_databases, transaction
 from huopminer import build_database, build_total_order, revise_database, support_counts
-from huopminer.errors import PatternNotSupportedError
+from huopminer.errors import InvalidParamsError, PatternNotSupportedError
 from huopminer.measures import (
     luo_in_transaction,
     rruo_in_transaction,
@@ -119,7 +119,7 @@ def test_luo_no_room_left(sample_db, rdb):
 
 def test_luo_rejects_overlong_pattern(sample_db, rdb):
     ceb = ids_of(sample_db, "ceb")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError, match="pattern longer than maxlen"):
         luo_in_transaction(ceb, transaction(rdb, 6), rdb, 2)
 
 
