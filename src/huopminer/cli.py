@@ -33,15 +33,16 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
 def _add_mining_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--minsup", required=True, type=float, help="minimum support ratio, (0, 1]")
     p.add_argument("--minuo", required=True, type=float, help="minimum utility-occupancy, (0, 1]")
-    p.add_argument("--minlen", type=int, default=1, help="minimum pattern length (default 1)")
+    p.add_argument("--minlen", type=int, default=1,
+                   help="minimum pattern length (default %(default)s)")
     p.add_argument(
         "--maxlen", type=int, default=0,
-        help="maximum pattern length; 0 means unconstrained (default 0)",
+        help="maximum pattern length; 0 means unconstrained (default %(default)s)",
     )
     p.add_argument(
         "--threads", type=int, default=1,
         help="accepted for compatibility, no effect: the search is serial, "
-        "a thread pool was measured no faster (default 1)",
+        "a thread pool was measured no faster (default %(default)s)",
     )
 
 
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     _add_mining_flags(p)
     p.add_argument("--max-items", type=int, default=DEFAULT_MAX_ITEMS,
-                   help=f"vocabulary cap for the reference run (default {DEFAULT_MAX_ITEMS})")
+                   help="vocabulary cap for the reference run (default %(default)s)")
 
     p = sub.add_parser("bench", help="sweep one parameter and emit stats CSV")
     _add_dataset_flags(p)
@@ -76,9 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True, type=int, help="vocabulary size")
     p.add_argument("--transactions", required=True, type=int, help="number of transactions")
     p.add_argument("--avg-len", required=True, type=int, help="average transaction length")
-    p.add_argument("--max-quantity", type=int, default=5, help="quantity cap (default 5)")
-    p.add_argument("--max-utility", type=int, default=10, help="unit-utility cap (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    spec = dataio.GeneratorSpec
+    p.add_argument("--max-quantity", type=int, default=spec.max_quantity,
+                   help="quantity cap (default %(default)s)")
+    p.add_argument("--max-utility", type=int, default=spec.max_unit_utility,
+                   help="unit-utility cap (default %(default)s)")
+    p.add_argument("--seed", type=int, default=spec.seed,
+                   help="generator seed (default %(default)s)")
     p.add_argument("--output", required=True, help="transactions file to write")
     p.add_argument("--profit", help="profit file to write (default: OUTPUT + '.profit')")
 
@@ -86,27 +91,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """Domain checks that must run before any file is touched."""
-    if getattr(args, "minsup", None) is not None and not 0.0 < args.minsup <= 1.0:
+    """Domain checks that must run before any file is touched; ``gen``'s
+    flags are checked by :class:`GeneratorSpec`."""
+    if args.command == "gen":
+        return
+    if not 0.0 < args.minsup <= 1.0:
         raise InputError(f"--minsup must be in (0, 1], got {args.minsup}")
-    if getattr(args, "minuo", None) is not None and not 0.0 < args.minuo <= 1.0:
+    if not 0.0 < args.minuo <= 1.0:
         raise InputError(f"--minuo must be in (0, 1], got {args.minuo}")
-    if getattr(args, "minlen", None) is not None and args.minlen < 1:
+    if args.minlen < 1:
         raise InputError(f"--minlen must be >= 1, got {args.minlen}")
-    if getattr(args, "maxlen", None) is not None:
-        if args.maxlen < 0:
-            raise InputError(f"--maxlen must be >= 0, got {args.maxlen}")
-        if args.maxlen != 0 and args.maxlen < args.minlen:
-            raise InputError(
-                f"--maxlen {args.maxlen} is below --minlen {args.minlen} (0 lifts the cap)"
-            )
-    if getattr(args, "threads", None) is not None and args.threads < 1:
+    if args.maxlen < 0:
+        raise InputError(f"--maxlen must be >= 0, got {args.maxlen}")
+    if args.maxlen != 0 and args.maxlen < args.minlen:
+        raise InputError(f"--maxlen {args.maxlen} is below --minlen {args.minlen} (0 lifts the cap)")
+    if args.threads < 1:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
-    if getattr(args, "max_items", None) is not None and args.max_items < 1:
+    if args.command == "verify" and args.max_items < 1:
         raise InputError(f"--max-items must be >= 1, got {args.max_items}")
-    if getattr(args, "format", None) == "qty" and not args.profit:
+    if args.format == "qty" and not args.profit:
         raise InputError("--profit is required with --format qty")
-    if getattr(args, "format", None) == "spmf" and args.profit:
+    if args.format == "spmf" and args.profit:
         raise InputError("--profit only applies to --format qty")
 
 
@@ -180,27 +185,20 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def run_bench(args: argparse.Namespace) -> int:
-    tokens = [v for v in args.values.split(",") if v.strip()]
-    if not tokens:
-        raise InputError("--values must list at least one value")
+    convert = int if args.sweep == "maxlen" else float
     try:
-        if args.sweep == "maxlen":
-            values = [int(v) for v in tokens]
-        else:
-            values = [float(v) for v in tokens]
+        values = [convert(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad --values entry: {exc}") from None
-
+    if not values:
+        raise InputError("--values must list at least one value")
     if args.sweep == "maxlen" and 0 not in values:
         values.append(0)  # always include the unconstrained baseline
 
     # every row's flags are checked before the input is read
-    sweep = []
-    for v in values:
-        row_args = argparse.Namespace(**vars(args))
-        setattr(row_args, args.sweep, v)
+    sweep = [argparse.Namespace(**{**vars(args), args.sweep: v}) for v in values]
+    for row_args in sweep:
         _check_flags(row_args)
-        sweep.append(row_args)
 
     db = _load_db(args)
     rows = []
@@ -208,7 +206,7 @@ def run_bench(args: argparse.Namespace) -> int:
         results, stats = mine(db, _resolve_params(row_args, db))
         rows.append(_stats_row(row_args, stats, results))
 
-    dataio.write_stats_csv(rows, args.stats if args.stats else sys.stdout)
+    dataio.write_stats_csv(rows, args.stats or sys.stdout)
     return 0
 
 
@@ -222,7 +220,7 @@ def run_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     db = dataio.generate_synthetic(spec)
-    profit = args.profit if args.profit else args.output + ".profit"
+    profit = args.profit or args.output + ".profit"
     dataio.write_quantity_profit(db, args.output, profit)
     return 0
 

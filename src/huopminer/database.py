@@ -190,9 +190,13 @@ def _number_items(
 
 
 def _transaction(tid: int, by_id: Mapping[int, float], tu: float) -> Transaction:
-    """The transaction, once its utility is known to be finite."""
+    """The transaction, once its utility is known to be finite and above
+    0: every loader checks it here.  The utility sums float products of
+    positive numbers, which can overflow to infinity or underflow to 0."""
     if tu == math.inf:  # a product past the float range, or an int beyond it
         raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
+    if tu == 0:  # products below the least positive float; shares divide by tu
+        raise InvalidDatabaseError(f"utility of transaction {tid} underflows to 0")
     return Transaction(tid, by_id, tu)
 
 
@@ -210,7 +214,8 @@ def build_database(
     id-keyed transaction as it arrives, so errors come in row order.  Each
     row's items need an entry in ``utilities``; tids must be positive and
     strictly increasing, quantities positive, the labels of the table and
-    of each row distinct after coercion and transaction utilities finite.
+    of each row distinct after coercion and transaction utilities finite
+    and, after rounding, above 0.
     """
     util: dict[str, float] = {}
     for key, eu in utilities.items():

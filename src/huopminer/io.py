@@ -54,10 +54,9 @@ def _clip(text: str) -> str:
     return text if len(text) <= 40 else text[:40] + "…"
 
 
-def _data_lines(source, allow_comments: bool) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, stripped line)`` for the data lines of a path
-    or a text stream, read whole, less one leading byte-order mark, and
-    split by ``str.splitlines``."""
+def _read_text(source) -> str:
+    """The whole text of a path or a text stream, less one leading
+    byte-order mark."""
     try:
         if hasattr(source, "read"):
             text = source.read()
@@ -66,7 +65,15 @@ def _data_lines(source, allow_comments: bool) -> Iterator[tuple[int, str]]:
                 text = handle.read()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not UTF-8 text: {exc}") from None
-    for no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    return text.removeprefix("\ufeff")
+
+
+def _data_lines(text: str, allow_comments: bool) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for the data lines of
+    ``text``, split by ``str.splitlines``.  The split lines live only
+    while the iteration does, so a caller that needs them twice iterates
+    the text twice instead of keeping a list."""
+    for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -86,16 +93,19 @@ def _float(text: str, what: str, no: int) -> float:
 def parse_spmf_utility(source) -> TransactionDatabase:
     """Parse utility-list lines into a database.
 
-    The vocabulary is the items before each line's first colon; the lines
-    are then checked and converted one at a time, in file order.  Rejects
-    malformed lines, duplicate items within a line, non-positive or
-    non-finite utilities, and lines whose declared TU is not within
-    ``TU_TOLERANCE`` of the sum of the per-item utilities, widened by the
-    rounding error a float sum of that many values can carry.
+    The text is read once.  The vocabulary is the items before each line's
+    first colon; a second pass over the text then checks and converts the
+    lines one at a time, in file order.  Rejects malformed lines,
+    duplicate items within a line, non-positive or non-finite utilities,
+    and lines whose declared TU is not within ``TU_TOLERANCE`` of the sum
+    of the per-item utilities, widened by the rounding error a float sum
+    of that many values can carry.
     """
-    lines = list(_data_lines(source, allow_comments=False))
+    text = _read_text(source)
+    lines = _data_lines(text, allow_comments=False)
     vocabulary = {label for _, line in lines for label in line.partition(":")[0].split()}
-    return build_database(_spmf_rows(lines), dict.fromkeys(vocabulary, 1.0))
+    rows = _spmf_rows(_data_lines(text, allow_comments=False))
+    return build_database(rows, dict.fromkeys(vocabulary, 1.0))
 
 
 def _spmf_rows(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict[str, float]]]:
@@ -141,7 +151,7 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
     the same either way.
     """
     utilities: dict[str, float] = {}
-    for no, line in _data_lines(profit_source, allow_comments=True):
+    for no, line in _data_lines(_read_text(profit_source), allow_comments=True):
         fields = line.split()
         if len(fields) != 2:
             raise DatasetFormatError("expected 'item unit_utility'", no)
@@ -156,7 +166,8 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
 
     memo: dict[str, tuple[int, int, float]] = {}  # pair text -> (item, qty, utility)
     transactions = []
-    for tid, (no, line) in enumerate(_data_lines(tx_source, allow_comments=True), start=1):
+    lines = _data_lines(_read_text(tx_source), allow_comments=True)
+    for tid, (no, line) in enumerate(lines, start=1):
         by_id: dict[int, int] = {}
         tu = 0.0
         for pair in line.split():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from huopminer import HUOPResult, cli
+from huopminer import GeneratorSpec, HUOPResult, cli, generate_synthetic, write_quantity_profit
 
 SAMPLE_QTY = """\
 a:3 b:4 c:2 d:6 e:2
@@ -475,6 +475,17 @@ def test_bench_maxlen_sweep_adds_uncapped_row(dataset, tmp_path):
     assert visited == sorted(visited)
 
 
+def test_bench_maxlen_sweep_lists_a_given_uncapped_row_once(dataset, tmp_path):
+    stats = tmp_path / "sweep.csv"
+    code = cli.main([
+        "bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3"),
+        "--sweep", "maxlen", "--values", "2,0", "--stats", str(stats),
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in stats.read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == ["2", "0"]
+
+
 def test_bench_rejects_bad_values(dataset, capsys):
     base = ["bench", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3")]
     assert cli.main(base + ["--sweep", "minuo", "--values", "0.2,oops"]) == 2
@@ -504,6 +515,16 @@ def test_gen_output_is_minable(tmp_path, capsys):
                      "--minsup", "0.2", "--minuo", "0.2", "--maxlen", "4"])
     assert code == 0
     assert capsys.readouterr().out.startswith("MATCH: ")
+
+
+def test_gen_defaults_are_the_generator_specs(tmp_path):
+    out = tmp_path / "g.qty"
+    assert cli.main(["gen", "--items", "9", "--transactions", "40", "--avg-len", "3",
+                     "--output", str(out)]) == 0
+    want, want_profit = tmp_path / "want.qty", tmp_path / "want.profit"
+    write_quantity_profit(generate_synthetic(GeneratorSpec(9, 40, 3)), want, want_profit)
+    assert out.read_bytes() == want.read_bytes()
+    assert (tmp_path / "g.qty.profit").read_bytes() == want_profit.read_bytes()
 
 
 def test_gen_validates_spec(tmp_path, capsys):

@@ -230,6 +230,14 @@ def test_build_database_rejects_bad_rows():
         build_database([(1, {"a": 10**400, "b": 1})], {"a": 1, "b": 1})
 
 
+def test_build_database_rejects_a_transaction_utility_that_underflows():
+    # positive quantities and unit utilities whose products round to 0.0:
+    # every share divides by tu, so mine and the oracle would divide by 0
+    rows = [(1, {"a": 1e-200, "b": 1}), (2, {"a": 1e-200})]
+    with pytest.raises(InvalidDatabaseError, match="^utility of transaction 2 underflows to 0$"):
+        build_database(rows, {"a": 1e-200, "b": 1})
+
+
 def test_build_database_numbers_and_checks_every_utility_entry():
     # an entry that no row lists is still an item: it gets an id in label
     # order, and a bad unit utility for it is refused

@@ -250,6 +250,29 @@ def test_generator_streams_its_rows():
     assert peak - before <= 1.2 * (held - before)
 
 
+def test_spmf_parse_keeps_no_list_of_lines():
+    # the text is read once and its lines are split twice, once for the
+    # vocabulary and once for the rows, so no (number, line) list lives
+    # beside the database while it is built
+    db = generate_synthetic(
+        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
+    )
+    source = stdio.StringIO("".join(
+        f"{' '.join(db.item_labels[i] for i in tx.entries)}:{tx.tu!r}:"
+        f"{' '.join(repr(q * db.utility_table[i]) for i, q in tx.entries.items())}\n"
+        for tx in db.transactions
+    ))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse_spmf_utility(source)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [tx.tu for tx in parsed.transactions] == [tx.tu for tx in db.transactions]
+    assert peak - before <= 1.32 * (held - before)
+
+
 def test_unused_profit_entries_change_no_answer(tmp_path):
     # the extra labels sort before, between and after the listed ones,
     # so every listed item's id moves but not its relative order
