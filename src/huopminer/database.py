@@ -164,7 +164,8 @@ def min_support_count(alpha: float, db_size: int) -> int:
 
 
 def _decimal_digits(text: str) -> str:
-    """The ASCII digits of a decimal string, leading zeros stripped."""
+    """The ASCII digits of a decimal string, leading zeros stripped: the
+    one reader of decimal text, for label order, quantities and spmf items."""
     return (text if text.isascii() else "".join(str(int(c)) for c in text)).lstrip("0")
 
 

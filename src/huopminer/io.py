@@ -8,20 +8,19 @@ Two text formats are supported, both UTF-8 text whose lines end where
       item1 item2 ... itemK:TU:u1 u2 ... uK
 
   where ``uj`` is the total utility of ``itemj`` in the transaction and
-  ``TU`` their sum.  Items are integer tokens, numbered from the text
-  before each line's first colon; the lines then stream one at a time
-  into the database, each ``uj`` folded into a quantity against a unit
-  utility of 1, which changes no product and so no mining result.
+  ``TU`` their sum.  Each item is the integer its token spells, so
+  ``007`` is item ``7``; each ``uj`` is folded into a quantity against a
+  unit utility of 1, which changes no product and so no mining result.
 
 * quantity-profit pairs, a transactions file of ``item:quantity`` pairs
   plus a profit file of ``item unit_utility`` lines.  ``#`` starts a
   comment line and blank lines are skipped in both files.  Every profit
   line is an item; one that no transaction lists changes no answer.
-  The transactions file is read in one pass straight into id-keyed
-  transactions, with a bounded memo of the pair texts already read.
 
-Transaction ids are assigned 1-based in file order, and errors are
-reported in file order too, quoting file text cut to 40 characters.
+Quantities and spmf item ids are decimal digits, leading zeros ignored;
+utilities are float text without ``_``, as SPMF's Java reader takes
+them.  Transaction ids are assigned 1-based in file order, and errors
+are reported in file order too, quoting file text cut to 40 characters.
 """
 
 from __future__ import annotations
@@ -70,9 +69,9 @@ def _read_text(source) -> str:
 
 def _data_lines(text: str, allow_comments: bool) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, stripped line)`` for the data lines of
-    ``text``, split by ``str.splitlines``.  The split lines live only
-    while the iteration does, so a caller that needs them twice iterates
-    the text twice instead of keeping a list."""
+    ``text``.  ``str.splitlines`` lists every line when the iteration
+    starts, and the list lives until it ends; a caller that needs the
+    lines twice iterates the text twice instead of keeping them longer."""
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -83,34 +82,37 @@ def _data_lines(text: str, allow_comments: bool) -> Iterator[tuple[int, str]]:
 
 
 def _float(text: str, what: str, no: int) -> float:
-    """``text`` as a float, or the format error that names it ``what``."""
+    """``text`` as a float without ``_``, or the format error that names it ``what``."""
     try:
-        return float(text)
+        if "_" not in text:
+            return float(text)
     except ValueError:
-        raise DatasetFormatError(f"bad {what} {_clip(text)!r}", no) from None
+        pass
+    raise DatasetFormatError(f"bad {what} {_clip(text)!r}", no)
 
 
 def parse_spmf_utility(source) -> TransactionDatabase:
     """Parse utility-list lines into a database.
 
-    The text is read once.  The vocabulary is the items before each line's
-    first colon; a second pass over the text then checks and converts the
-    lines one at a time, in file order.  Rejects malformed lines,
-    duplicate items within a line, non-positive or non-finite utilities,
-    and lines whose declared TU is not within ``TU_TOLERANCE`` of the sum
-    of the per-item utilities, widened by the rounding error a float sum
-    of that many values can carry.
+    The text is read once.  A first pass maps each decimal token before a
+    line's first colon to the integer it spells; a second checks and
+    converts the lines one at a time, in file order.  Rejects malformed
+    lines, duplicate items within a line, non-positive or non-finite
+    utilities, and lines whose declared TU is not within ``TU_TOLERANCE``
+    of the sum of the per-item utilities, widened by the rounding error a
+    float sum of that many values can carry.
     """
     text = _read_text(source)
     lines = _data_lines(text, allow_comments=False)
-    vocabulary = {label for _, line in lines for label in line.partition(":")[0].split()}
-    rows = _spmf_rows(_data_lines(text, allow_comments=False))
-    return build_database(rows, dict.fromkeys(vocabulary, 1.0))
+    tokens = {token for _, line in lines for token in line.partition(":")[0].split()}
+    labels = {token: _decimal_digits(token) or "0" for token in tokens if token.isdecimal()}
+    return build_database(_spmf_rows(text, labels), dict.fromkeys(labels.values(), 1.0))
 
 
-def _spmf_rows(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict[str, float]]]:
-    """The ``(tid, {item: utility})`` row of each numbered line, checked."""
-    for tid, (no, line) in enumerate(lines, start=1):
+def _spmf_rows(text: str, labels: Mapping[str, str]) -> Iterator[tuple[int, dict[str, float]]]:
+    """The checked ``(tid, {item: utility})`` row of each data line of
+    ``text``, each item the ``labels`` entry of its token."""
+    for tid, (no, line) in enumerate(_data_lines(text, allow_comments=False), start=1):
         parts = line.split(":")
         if len(parts) != 3:
             raise DatasetFormatError("expected 'items:TU:utilities' with two colons", no)
@@ -123,15 +125,16 @@ def _spmf_rows(lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, dict[str
         tu = _float(parts[1], "transaction utility", no)
         entries: dict[str, float] = {}
         total = 0.0
-        for token, text in zip(items, utilities):
-            if not token.isdecimal():
+        for token, value_text in zip(items, utilities):
+            label = labels.get(token)
+            if label is None:
                 raise DatasetFormatError(f"item {_clip(token)!r} is not a non-negative integer", no)
-            if token in entries:
+            if label in entries:
                 raise DatasetFormatError(f"duplicate item {_clip(token)!r}", no)
-            value = _float(text, "utility value", no)
+            value = _float(value_text, "utility value", no)
             if not 0 < value < math.inf:
                 raise DatasetFormatError(f"utility for item {_clip(token)!r} must be positive and finite", no)
-            entries[token] = value
+            entries[label] = value
             total += value
         # the rounding slack scales with the sum, not with tu, so that an
         # infinite TU still fails; the negated test fails a nan TU too
@@ -179,23 +182,18 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
                 item = ids.get(label)
                 if item in by_id:
                     raise DatasetFormatError(f"duplicate item {_clip(label)!r}", no)
-                try:
-                    qty = int(qty_text)
-                except ValueError:
-                    if not qty_text.isdecimal():
-                        raise DatasetFormatError(
-                            f"bad quantity {_clip(qty_text)!r} for item {_clip(label)!r}", no
-                        ) from None
-                    # a decimal past int()'s digit limit, never below 640.
-                    # Leading zeros do not count; 640 digits or more overflow
-                    # the float range at any unit utility, like the product below
-                    digits = _decimal_digits(qty_text)
-                    qty = int(digits or "0") if len(digits) < 640 else math.inf
-                if qty < 1:
+                if not qty_text.isdecimal():
                     raise DatasetFormatError(
-                        f"quantity for item {_clip(label)!r} must be a positive integer,"
-                        f" got {_clip(str(qty))}", no
+                        f"bad quantity {_clip(qty_text)!r} for item {_clip(label)!r}", no
                     )
+                # leading zeros do not count; 640 digits or more overflow
+                # the float range at any unit utility, like the product below
+                digits = _decimal_digits(qty_text)
+                if not digits:
+                    raise DatasetFormatError(
+                        f"quantity for item {_clip(label)!r} must be a positive integer, got 0", no
+                    )
+                qty = int(digits) if len(digits) < 640 else math.inf
                 if item is None:
                     raise DatasetFormatError(f"item {_clip(label)!r} has no profit entry", no)
                 try:

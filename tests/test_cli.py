@@ -384,8 +384,7 @@ X, Z, P, D = "x" * 5000, "z" * 5000, "p" * 5000, "7" * 5000
                      f"line 1: quantity for item '{'z' * 40}…' must be a positive integer, got 0",
                      id="label of a zero quantity"),
         pytest.param("qty", f"a:-{'9' * 4000}\n", "a 2\n",
-                     f"line 1: quantity for item 'a' must be a positive integer, got -{'9' * 39}…",
-                     id="negative quantity"),
+                     f"line 1: bad quantity '-{'9' * 39}…' for item 'a'", id="negative quantity"),
         pytest.param("qty", f"{Z}:1 {Z}:2\n", f"{Z} 2\n",
                      f"line 1: duplicate item '{'z' * 40}…'", id="duplicate label"),
         pytest.param("qty", f"{Z}:1 {Z}:1\n", f"{Z} 2\n",
@@ -416,6 +415,49 @@ def test_a_long_malformed_quantity_is_echoed_clipped(tmp_path, capsys, fmt, tx_t
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert len(err.encode()) < 200
+
+
+def clipped(text):
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
+@pytest.mark.parametrize(
+    "qty",
+    ["+5", f"+{'5' * 5000}", "5_0", f"5_{'0' * 5000}", "-5", f"-{'5' * 5000}"],
+    ids=["plus", "plus, long", "separator", "separator, long", "minus", "minus, long"],
+)
+def test_a_quantity_is_decimal_digits_at_any_length(tmp_path, capsys, qty):
+    # int() takes a sign and a digit separator below its digit limit; a
+    # quantity takes neither, at any length
+    assert mine_text(tmp_path, f"a:{qty}\n") == 2
+    assert capsys.readouterr().err == f"error: line 1: bad quantity {clipped(qty)!r} for item 'a'\n"
+
+
+def test_a_quantity_of_leading_zeros_is_its_last_digits(tmp_path, capsys):
+    assert mine_text(tmp_path, "a:1\n") == 0
+    plain = capsys.readouterr()
+    assert mine_text(tmp_path, f"a:{'0' * 4999}1\n") == 0
+    assert capsys.readouterr() == plain
+    assert mine_text(tmp_path, f"a:{'0' * 5000}\n") == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: quantity for item 'a' must be a positive integer, got 0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fmt, tx_text, profit_text, message",
+    [
+        pytest.param("spmf", "1 01:5:2 3\n", None, "line 1: duplicate item '01'", id="spmf item by value"),
+        pytest.param("spmf", "1 2:1_0:5 5\n", None,
+                     "line 1: bad transaction utility '1_0'", id="spmf separator"),
+        pytest.param("qty", "a:1\n", "a 1_0\n", "line 1: bad unit utility '1_0'", id="profit separator"),
+    ],
+)
+def test_numbers_are_read_as_spmf_reads_them(tmp_path, capsys, fmt, tx_text, profit_text, message):
+    # an spmf item is the integer its token spells, and a float takes no
+    # digit separator, which Java's Double.parseDouble refuses too
+    assert mine_text(tmp_path, tx_text, profit_text, fmt) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bench_minuo_sweep(dataset, capsys):

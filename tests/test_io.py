@@ -327,6 +327,14 @@ def test_parse_spmf_utility():
     assert list(db.transactions[0].entries.values()) == [6, 2, 4]
 
 
+def test_spmf_items_are_the_integers_they_spell():
+    db = parse_spmf_utility(stdio.StringIO("1 2:5:2 3\n01 2:5:2 3\n1 02:5:2 3\n"))
+    assert db.item_labels == ("1", "2")
+    assert support_counts(db) == {0: 3, 1: 3}
+    # each item is written as its number, zero as "0"
+    assert parse_spmf_utility(stdio.StringIO("007 00:3:2 1\n")).item_labels == ("0", "7")
+
+
 def test_spmf_and_qty_encodings_mine_identically():
     spmf = parse_spmf_utility(stdio.StringIO(SAMPLE_SPMF))
     qty = qty_db()
