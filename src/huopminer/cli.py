@@ -19,7 +19,7 @@ from . import io as dataio
 from .database import HUOPResult, MiningParams, TransactionDatabase
 from .errors import InputError
 from .oracle import DEFAULT_MAX_ITEMS, brute_force_mine
-from .search import mine, unconstrained_maxlen
+from .search import mine
 
 UO_MATCH_TOLERANCE = 1e-9
 
@@ -126,7 +126,8 @@ def _load_db(args: argparse.Namespace) -> TransactionDatabase:
 
 
 def _resolve_params(args: argparse.Namespace, db: TransactionDatabase) -> MiningParams:
-    maxlen = args.maxlen or max(unconstrained_maxlen(db, args.minsup), args.minlen)
+    # no pattern outgrows the item table, so its size caps nothing
+    maxlen = args.maxlen or max(len(db.item_labels), args.minlen)
     return MiningParams(alpha=args.minsup, beta=args.minuo, minlen=args.minlen, maxlen=maxlen)
 
 

@@ -96,10 +96,6 @@ class RevisedDatabase:
     database: TransactionDatabase
     order: TotalOrder
 
-    @property
-    def utility_table(self) -> Mapping[int, float]:
-        return self.database.utility_table
-
     def kept(self) -> Iterator[tuple[Transaction, list[int]]]:
         """Each original transaction that keeps a frequent item, with the
         ranks of those items, ascending: the frequent item of rank ``r``

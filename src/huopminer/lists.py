@@ -220,7 +220,7 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
     items = rdb.order.items
-    unit = [rdb.utility_table[item] for item in items]
+    unit = [rdb.database.utility_table[item] for item in items]
     tids: list[list[int]] = [[] for _ in items]
     shares = [array("d") for _ in items]
     rests: list[list[float]] = [[] for _ in items]

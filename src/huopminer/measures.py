@@ -85,7 +85,7 @@ def _tail_occupancies(pattern: tuple[int, ...], tx: Transaction, rdb: RevisedDat
     in ascending order rank."""
     rank = rdb.order.rank
     last = max(rank[i] for i in pattern)
-    table = rdb.utility_table
+    table = rdb.database.utility_table
     tail = sorted((i for i in tx.entries if rank.get(i, -1) > last), key=rank.__getitem__)
     return [tx.entries[i] * table[i] / tx.tu for i in tail]
 

@@ -137,7 +137,8 @@ def mine(
 
 
 def unconstrained_maxlen(db: TransactionDatabase, alpha: float) -> int:
-    """Length cap that imposes no constraint: the number of frequent
-    items (at least 1 so parameters stay well formed)."""
+    """The least length cap that imposes no constraint: the number of
+    frequent items, at least 1 so parameters stay well formed.  The CLI
+    does not call it; the acceptance gate and perfbench do."""
     min_sc = min_support_count(alpha, db.size)
     return max(1, len(build_total_order(support_counts(db), min_sc).items))

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from huopminer import GeneratorSpec, HUOPResult, cli, generate_synthetic, write_quantity_profit
+from huopminer import (
+    GeneratorSpec,
+    HUOPResult,
+    cli,
+    generate_synthetic,
+    search,
+    support_counts,
+    write_quantity_profit,
+)
 
 SAMPLE_QTY = """\
 a:3 b:4 c:2 d:6 e:2
@@ -66,6 +74,21 @@ def test_mine_unconstrained_by_default(dataset, capsys):
     code = cli.main(mine_args(dataset))
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 20
+
+
+def test_mine_uncapped_counts_support_once(dataset, monkeypatch, capsys):
+    # the default cap is the item table's size, which no pattern reaches,
+    # so only the run itself counts support over the database
+    calls = []
+
+    def counting(db):
+        calls.append(db.size)
+        return support_counts(db)
+
+    monkeypatch.setattr(search, "support_counts", counting)
+    assert cli.main(mine_args(dataset)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+    assert len(calls) == 1
 
 
 def test_mine_maxlen_one(dataset, capsys):
@@ -526,6 +549,20 @@ def test_bench_maxlen_sweep_lists_a_given_uncapped_row_once(dataset, tmp_path):
     assert code == 0
     rows = [line.split(",") for line in stats.read_text().splitlines()[1:]]
     assert [r[4] for r in rows] == ["2", "0"]
+
+
+def test_uncapped_row_when_the_item_table_outnumbers_the_frequent_items(dataset, tmp_path):
+    # at minsup 0.7 only b of the 5 items is frequent, so the uncapped
+    # cap of 5 and the cap of 1 walk the same tree
+    stats = tmp_path / "sweep.csv"
+    code = cli.main([
+        "bench", *qty_args(dataset, "--minsup", "0.7", "--minuo", "0.3"),
+        "--sweep", "maxlen", "--values", "1", "--stats", str(stats),
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in stats.read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == ["1", "0"]
+    assert [r[6:] for r in rows] == [["1", "0", "1"], ["1", "0", "1"]]
 
 
 def test_bench_rejects_bad_values(dataset, capsys):

@@ -132,7 +132,6 @@ def test_revision_is_a_view_of_the_database(sample_db):
     rdb = revise_database(sample_db, order)
     assert rdb.database is sample_db
     assert rdb.order is order
-    assert rdb.utility_table is sample_db.utility_table
     assert "transactions" not in vars(rdb)
     assert rdb.transactions is rdb.transactions
     assert [tx for tx, _ in rdb.kept()] == list(sample_db.transactions)
