@@ -40,14 +40,27 @@ Every node also carries ``bits``, the set of transactions it occurs in
 as an int bitmask.  A join intersects the operands' masks first and
 counts the bits: that is the union's exact support, so an infrequent
 join returns ``None`` without reading a column, and a kept join builds
-its ``uo_at`` in one pass over the first operand.  ``None`` is returned
-if and only if the joined pattern would be infrequent.
+its ``uo_at`` in one pass over the first operand.
+
+A join into the length cap builds a leaf, a node that is reported or
+dropped on its ``uo`` alone.  The search passes such joins a
+:class:`LeafGate`, which holds each item's shares in fixed point as bit
+planes over the positions (a bit-sliced index) and bounds the leaf's
+share sum from above with ANDs and popcounts over the intersected mask.
+When that bound, widened by a proved float margin, is below ``minuo``,
+the join returns ``None`` too, again without reading a column.  So
+``None`` means an infrequent union or, with a gate, a leaf provably
+below ``minuo``; an ungated join returns ``None`` if and only if the
+union is infrequent.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from functools import cache, reduce
+from itertools import compress, count, zip_longest
+from math import ceil
 from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
@@ -262,6 +275,7 @@ def construct(
     xa: PatternNode,
     xb: PatternNode,
     min_sup_count: int,
+    gate: LeafGate | None = None,
 ) -> PatternNode | None:
     """Join sibling nodes ``xa`` and ``xb`` into their union pattern,
     adding per tid the share of ``xb``'s last item to ``xa``'s share.
@@ -269,15 +283,135 @@ def construct(
     It reads ``xa``'s ``uo_at``, both masks, and ``xb``'s ``last_at`` and
     ``rruo_at``: a tid of ``xa`` in ``last_at`` is a tid of the union.
     Returns ``None`` when the union's support, counted from the
-    intersected masks, is below ``min_sup_count``; this is the only way
-    a join can come back empty.  ``prefix`` is not read.  It stays first
-    because the benchmark's tracer (``perfbench/sample.py``) unpacks
-    ``(prefix, xa, xb)`` from the positional arguments.
+    intersected masks, is below ``min_sup_count``.  With a ``gate``, for
+    a join into the length cap, it also returns ``None`` when the gate
+    proves from the masks that the union's ``uo`` is below ``minuo``, so
+    that the node, which would be neither reported nor joined, is never
+    built; without one, ``None`` means an infrequent union and nothing
+    else.  No tid is read before either decision.  ``prefix`` is not
+    read.  It stays first because the benchmark's tracer
+    (``perfbench/sample.py``) unpacks ``(prefix, xa, xb)`` from the
+    positional arguments.
     """
     bits = xa.bits & xb.bits
-    if bits.bit_count() < min_sup_count:
+    sup = bits.bit_count()
+    if sup < min_sup_count or gate is not None and gate.rejects(xa.pattern, xb.pattern[-1], bits, sup):
         return None
 
     last = xb.last_at
     uo_at = {tid: u + last[tid] for tid, u in xa.uo_at.items() if tid in last}
     return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, last, xb.rruo_at, bits, xb.source)
+
+
+# A share s is held in fixed point as ceil(s * 2**SCALE_BITS), one byte
+# per position below 2**SCALE_BITS, so a leaf's share sum is bounded by
+# ANDs and popcounts over bit planes, exactly and from above.
+SCALE_BITS = 8
+
+
+@cache
+def _plane_table(j: int) -> bytes:
+    """A translate table taking a byte to ASCII ``1`` when its bit ``j``
+    is set and to ``0`` otherwise; built on first use, not at import."""
+    return bytes(48 | (v >> j & 1) for v in range(256))
+
+
+def share_planes(node: PatternNode) -> list[int]:
+    """Bit planes of a single-item node's fixed-point shares.
+
+    Plane ``j`` has bit ``k`` set when bit ``j`` of ``ceil(share *
+    2**SCALE_BITS)`` is set at position ``k``; a share of 1.0, the whole
+    of a one-item transaction, sets plane ``SCALE_BITS`` alone.  The
+    node's ``i``-th share sits at the ``i``-th set bit of its ``bits``,
+    as the scan appends both in position order, so no tid is looked up.
+    """
+    shares: Iterable[float] = node.uo_at.values() if node._columns is None else node._columns[1]
+    flags = format(node.bits, "b")[::-1].encode().replace(b"0", b"\0")  # bit k as byte k
+    scale, low_bits = float(1 << SCALE_BITS), (1 << SCALE_BITS) - 1
+    low = bytearray(len(flags))
+    high = []
+    for k, share in zip(compress(count(), flags), shares):
+        w = ceil(share * scale)
+        if w > low_bits:  # a share of 1.0 or more: rare
+            high.append((k, w >> SCALE_BITS))
+            w &= low_bits
+        low[k] = w
+    low.reverse()  # int() reads the highest position first
+    planes = [int(low.translate(_plane_table(j)), 2) for j in range(SCALE_BITS)]
+    for k, w in high:
+        planes.extend([0] * (SCALE_BITS + w.bit_length() - len(planes)))
+        for j in range(w.bit_length()):
+            planes[SCALE_BITS + j] |= (w >> j & 1) << k
+    return planes
+
+
+def _add_planes(a: list[int], b: list[int]) -> list[int]:
+    """The bit-sliced sum of two bit-sliced columns, by ripple carry."""
+    total = []
+    carry = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        total.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    if carry:
+        total.append(carry)
+    return total
+
+
+class LeafGate:
+    """Rejects a join into the length cap whose node could not be
+    reported, reading its mask and no tid (a bit-sliced index, O'Neil and
+    Quass, SIGMOD 1997).
+
+    A leaf is reported when its float ``uo`` reaches ``minuo``, and that
+    ``uo`` is the mean over the leaf's tids of the left-to-right sum of
+    its items' shares.  For nonnegative shares it exceeds the exact mean
+    by a factor of at most ``1 + γ`` with ``γ = m·u / (1 - m·u)``, ``m =
+    L + sup`` and ``u = 2**-53``, and by twice that with the compensated
+    ``sum`` of CPython 3.12 and later.  The fixed-point sum ``total`` of
+    the leaf's items over its mask bounds the exact share sum from above,
+    so the leaf is rejected only when ``total·(1 + n·2**-52) < minuo·sup·
+    2**SCALE_BITS`` with ``n = L + sup + 2``: ``n·2**-52 >= 2γ`` while
+    ``m·(m + 2) <= 2**54``, so for any ``m`` up to ``2**26``.  The test is
+    in integers, so a leaf at ``minuo`` is never rejected.
+
+    The planes of an item are built at its first leaf join whose mask
+    passes, and the planes of the parent's items are added once per
+    parent; a leaf then reads the parent's sum and its own item's planes,
+    high bit first, and stops once the partial sum decides.
+    """
+
+    __slots__ = ("_nodes", "_planes", "_num", "_den", "_parent", "_sums")
+
+    def __init__(self, nodes: Iterable[PatternNode], minuo: float) -> None:
+        self._nodes = {node.pattern[0]: node for node in nodes}
+        self._planes: dict[int, list[int]] = {}
+        self._num, self._den = minuo.as_integer_ratio()
+        self._parent: Pattern = ()
+        self._sums: list[int] = []
+
+    def _item_planes(self, item: int) -> list[int]:
+        planes = self._planes.get(item)
+        if planes is None:
+            planes = self._planes[item] = share_planes(self._nodes[item])
+        return planes
+
+    def rejects(self, parent: Pattern, item: int, bits: int, sup: int) -> bool:
+        """Whether the leaf ``parent + (item,)`` over the positions
+        ``bits``, ``sup`` of them, has a ``uo`` provably below ``minuo``."""
+        if parent is not self._parent:  # the walk joins one parent's leaves in a row
+            self._parent = parent
+            self._sums = reduce(_add_planes, map(self._item_planes, parent))
+        sums, own = self._sums, self._item_planes(item)
+        # least total that cannot be rejected: the rule, solved for total
+        n = len(parent) + 3 + sup
+        limit = -(-(self._num * sup << SCALE_BITS + 52) // (self._den * ((1 << 52) + n)))
+        if len(own) != len(sums):  # pad the shorter column with empty planes
+            width = max(len(own), len(sums))
+            sums, own = sums + [0] * (width - len(sums)), own + [0] * (width - len(own))
+        total = 0
+        slack = 2 * sup  # each column adds below 2**j per position below level j
+        for j in reversed(range(len(sums))):  # at level 0 nothing is left unread
+            total += ((bits & sums[j]).bit_count() + (bits & own[j]).bit_count()) << j
+            if total >= limit or total + (slack << j) - slack < limit:
+                break
+        return total < limit

@@ -4,19 +4,22 @@ The search walks the set-enumeration tree of the mining order on an
 explicit stack, so deep patterns do not hit the recursion limit.  Every
 node it reaches is frequent, as the initial nodes are frequent items and
 a join returns ``None`` when infrequent, and is reported if it qualifies.
-A node already ``maxlen`` long ends its branch before any bound or join.
-Below the cap a subtree is explored only when :func:`length_upper_bound`,
-built on the capped ``luo`` lists, says an extension could still reach
-the occupancy threshold.  That bound sorts the node's column, so two
+A node already ``maxlen`` long ends its branch before any bound or join,
+and the joins that build such leaves get a
+:class:`~huopminer.lists.LeafGate`, which drops a leaf whose ``uo`` it
+proves below the threshold from the masks alone.  Below the cap a
+subtree is explored only when :func:`length_upper_bound`, built on the
+capped ``luo`` lists, says an extension could still reach the occupancy
+threshold.  That bound sorts the node's column, so two
 cheaper lower bounds on it come first, ``uo`` and ``uo + rruo`` (the
 mean of ``uo + sum(luo)`` over all the node's tids): a node with either
 at ``minuo`` is kept unsorted.  With ``bound_log`` the bound of every
 node below the cap is also logged: the log only observes the walk, and
-no decision depends on it.  Occupancy is not anti-monotone and never
-prunes; ``minlen`` only filters what is reported.  The walk reads only
-a node's summary, ``pattern``, ``sup``, ``uo`` and ``rruo``:
-:mod:`huopminer.lists` builds, joins and bounds the nodes over their
-occupancy columns.  A node's children are built in one pass over its
+no decision depends on it.  Occupancy is not anti-monotone, so below
+the cap it never prunes; ``minlen`` only filters what is reported.  The
+walk reads only a node's summary, ``pattern``, ``sup``, ``uo`` and
+``rruo``: :mod:`huopminer.lists` builds, joins and bounds the nodes over
+their occupancy columns.  A node's children are built in one pass over its
 later siblings; the counters are taken per frame, from list lengths.
 """
 
@@ -36,7 +39,7 @@ from .database import (
     revise_database,
     support_counts,
 )
-from .lists import PatternNode, build_initial_nodes, construct, length_upper_bound
+from .lists import LeafGate, PatternNode, build_initial_nodes, construct, length_upper_bound
 
 
 @dataclass
@@ -44,12 +47,14 @@ class SearchStats:
     """Counters describing one mining run.
 
     ``visited_nodes`` counts every node whose summary the search reads,
-    the initial single items included.  ``constructions`` counts join
-    attempts below the length cap, ``early_aborts`` the joins found
-    infrequent by the bitmask and ``lub_prunes`` the subtrees cut by the
-    bound.  The first three are taken once per frame of the walk, from
-    list lengths.  ``support_prunes`` is always 0; perfbench still
-    reports it.
+    the initial single items included, and so not the leaves the leaf
+    gate rejects.  ``constructions`` counts join attempts below the
+    length cap, ``early_aborts`` the joins that returned no node: those
+    found infrequent by the bitmask and the joins into the cap whose
+    leaf the gate proved below ``minuo``.  ``lub_prunes`` counts the
+    subtrees cut by the bound.  The first three are taken once per frame
+    of the walk, from list lengths.  ``support_prunes`` is always 0;
+    perfbench still reports it.
     """
 
     visited_nodes: int = 0
@@ -75,6 +80,7 @@ def search_subtree(
     frame per depth keeps only the current path's extension lists alive.
     """
     beta = params.beta
+    gate = LeafGate(exten, beta)
     stats.visited_nodes += len(exten)
     stack = [(exten, enumerate(exten))]
     while stack:
@@ -95,7 +101,8 @@ def search_subtree(
             # Descend; this frame's iterator resumes after the subtree.  The
             # children rebind exten, so once a subtree's frame is popped no
             # local keeps its nodes alive while the next children are built.
-            exten = [n for xb in later if (n := construct(None, xa, xb, min_sc)) is not None]
+            leaf = gate if len(xa.pattern) == params.maxlen - 1 else None
+            exten = [n for xb in later if (n := construct(None, xa, xb, min_sc, leaf)) is not None]
             stats.constructions += len(later)
             stats.early_aborts += len(later) - len(exten)
             stats.visited_nodes += len(exten)

@@ -536,7 +536,7 @@ def test_bench_maxlen_sweep_adds_uncapped_row(dataset, tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[4] for r in rows] == ["1", "2", "3", "0"]
     visited = [int(r[6]) for r in rows]
-    assert visited == [5, 15, 22, 24]
+    assert visited == [5, 13, 22, 24]  # at cap 2 the leaf gate rejects two pairs
     assert visited == sorted(visited)
 
 

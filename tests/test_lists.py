@@ -1,6 +1,7 @@
 """Occupancy-list structures: initial build, joins, early aborts, and
 agreement with the direct-scan measures."""
 
+import math
 import tracemalloc
 
 import pytest
@@ -20,7 +21,7 @@ from huopminer import (
     support_counts,
 )
 from huopminer.errors import InvalidParamsError
-from huopminer.lists import PatternNode
+from huopminer.lists import SCALE_BITS, LeafGate, PatternNode, share_planes
 from huopminer.measures import (
     luo_in_transaction,
     rruo_in_transaction,
@@ -390,3 +391,53 @@ def test_initial_nodes_stay_compact_while_every_join_aborts():
         tracemalloc.stop()
     assert aborted == len(nodes) * (len(nodes) - 1) // 2 > 0
     assert held / sum(n.sup for n in nodes) < 64
+
+
+def _plane_weights(planes, position):
+    return sum((plane >> position & 1) << j for j, plane in enumerate(planes))
+
+
+def test_share_planes_hold_each_share_rounded_up():
+    # position k of a single-item node's planes spells ceil(share * 2**K)
+    # in binary; a one-item transaction gives a share of exactly 1.0, the
+    # one weight of 2**K, and a unit utility of 1e-300 against 1e10 gives
+    # the subnormal share 1e-310, which still weighs 1.  Tid 3 keeps no
+    # frequent item, so the positions skip it: tid 4 is position 2
+    rows = [(1, {"a": 1}), (2, {"a": 1, "b": 1, "c": 1}), (3, {"d": 1}),
+            (4, {"a": 3, "c": 1}), (5, {"a": 2, "b": 1})]
+    db = build_database(rows, {"a": 7, "b": 1e-300, "c": 1e10, "d": 1})
+    rdb = revise_database(db, build_total_order(support_counts(db), 2))
+    nodes = build_initial_nodes(rdb, 3)
+    labels = {db.labels_of(n.pattern)[0]: n for n in nodes}
+    assert set(labels) == {"a", "b", "c"}
+    positions = {1: 0, 2: 1, 4: 2, 5: 3}
+    shares = {}
+    for label, node in labels.items():
+        assert node._columns is not None
+        planes = share_planes(node)  # read from the scan's columns
+        for tid, share in node.uo_at.items():  # builds the dicts
+            assert _plane_weights(planes, positions[tid]) == math.ceil(share * 2**SCALE_BITS)
+            shares[label, tid] = share
+        assert share_planes(node) == planes  # read from the dicts
+        unset = set(range(4)) - {positions[tid] for tid in node.uo_at}
+        assert all(_plane_weights(planes, k) == 0 for k in unset)
+    assert shares["a", 1] == 1.0 and _plane_weights(share_planes(labels["a"]), 0) == 2**SCALE_BITS
+    assert 0 < shares["b", 2] < 2.2250738585072014e-308  # subnormal
+    assert _plane_weights(share_planes(labels["b"]), 1) == 1
+
+
+def test_leaf_gate_keeps_leaves_within_the_proved_margin():
+    # shares 1/4, 1/4 and 1/2 are exact in fixed point, so the pair ab sums
+    # to exactly 0.5 over its 4 positions.  The rule rejects only when
+    # total * (2**52 + n) < minuo * sup * 2**(K+52), n = L + sup + 2 = 8:
+    # 0.5 itself and up to 8 ulps (2**-53 each) above it are kept, 9 ulps
+    # above it is rejected, whatever the leaf's float uo
+    db = build_database([(t, {"a": 1, "b": 1, "c": 2}) for t in range(1, 5)], {"a": 1, "b": 1, "c": 1})
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    a, b, c = sorted(build_initial_nodes(rdb, 2), key=lambda n: n.pattern)
+    bits = a.bits & b.bits
+    for ulps, rejected in ((0, False), (8, False), (9, True)):
+        gate = LeafGate([a, b, c], 0.5 + ulps * 2**-53)
+        assert gate.rejects(a.pattern, b.pattern[0], bits, 4) is rejected
+    assert construct(None, a, b, 1, LeafGate([a, b, c], 0.5)).uo == 0.5
+    assert construct(None, a, b, 1, LeafGate([a, b, c], 0.5 + 9 * 2**-53)) is None
