@@ -3,14 +3,15 @@
 ``SAMPLE_ROWS``/``SAMPLE_PROFITS`` is the small worked-example database
 used throughout the tests; every expected number derived from it in the
 test modules is recomputed from these raw quantities, usually as exact
-fractions, before being frozen.
+fractions, before being frozen.  The text rewrites at the end derive the
+CLI pins' variant inputs from a generated dataset.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from huopminer import TransactionDatabase, build_database
+from huopminer import TransactionDatabase, build_database, parse_quantity_profit
 
 SAMPLE_ROWS = [
     (1, {"a": 3, "b": 4, "c": 2, "d": 6, "e": 2}),
@@ -105,3 +106,48 @@ def db_and_supported_pattern(draw):
         sorted(draw(st.lists(st.sampled_from(items), min_size=1, max_size=len(items), unique=True)))
     )
     return db, pattern
+
+
+def to_spmf(qty_path) -> str:
+    """The spmf utility-list copy of a qty file and its ``.profit`` table:
+    one ``labels:TU:utilities`` line per transaction, every number its repr."""
+    db = parse_quantity_profit(qty_path, f"{qty_path}.profit")
+    lines = []
+    for tx in db.transactions:
+        utilities = [q * db.utility_table[i] for i, q in tx.entries.items()]
+        labels = " ".join(db.item_labels[i] for i in tx.entries)
+        lines.append(f"{labels}:{tx.tu!r}:{' '.join(map(repr, utilities))}\n")
+    return "".join(lines)
+
+
+def pad_quantities(qty_text: str, zeros: int) -> str:
+    """``zeros`` zeros in front of every quantity of a qty file."""
+    return qty_text.replace(":", ":" + "0" * zeros)
+
+
+def pad_profit_table(profit_text: str) -> str:
+    """31 profit lines that no transaction lists: ``0``, which sorts first,
+    then ``x1`` to ``x30``."""
+    return profit_text + "0 4\n" + "".join(f"x{k} 3\n" for k in range(1, 31))
+
+
+def pad_spmf_ids(spmf_text: str) -> str:
+    """``00`` in front of every item id of an spmf file."""
+    lines = []
+    for line in spmf_text.splitlines():
+        ids, colon, rest = line.partition(":")
+        lines.append(" ".join("00" + i for i in ids.split()) + colon + rest + "\n")
+    return "".join(lines)
+
+
+def cut(csv_text: str, fields: str) -> bytes:
+    """The bytes ``cut -d, -f<fields>`` prints for ``csv_text``; ``fields``
+    lists 1-based columns ``N`` and open ranges ``N-``."""
+    def kept(n: int) -> bool:
+        return any(n >= int(f[:-1]) if f.endswith("-") else n == int(f)
+                   for f in fields.split(","))
+
+    rows = (line.split(",") for line in csv_text.splitlines())
+    return "".join(
+        ",".join(c for n, c in enumerate(row, 1) if kept(n)) + "\n" for row in rows
+    ).encode()

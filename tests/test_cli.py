@@ -637,17 +637,20 @@ def test_threads_do_not_change_output(dataset, tmp_path):
 
 
 def test_module_entrypoint(dataset, tmp_path):
-    tx, profit = dataset
-    out = tmp_path / "m.txt"
     # the child must import the same package as this test, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "huopminer", "mine", "--input", str(tx), "--format", "qty",
-         "--profit", str(profit), "--minsup", "0.3", "--minuo", "0.3",
-         "--maxlen", "3", "--output", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+
+    def child(argv):
+        return subprocess.run([sys.executable, "-m", "huopminer", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+
+    out = tmp_path / "m.txt"
+    proc = child(mine_args(dataset, "--maxlen", "3", "--output", str(out)))
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert len(out.read_text().splitlines()) == 18
+    # verify's verdict crosses the process boundary as its exit code
+    proc = child(["verify", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3")])
+    assert proc.returncode == 0
+    assert proc.stdout == "MATCH: 18 patterns\n"
