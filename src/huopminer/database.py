@@ -96,18 +96,18 @@ class RevisedDatabase:
     database: TransactionDatabase
     order: TotalOrder
 
-    def kept(self) -> Iterator[tuple[Transaction, list[int]]]:
-        """Each original transaction that keeps a frequent item, with the
-        ranks of those items, ascending: the frequent item of rank ``r``
-        is ``order.items[r]``.  This alone decides which transactions
-        survive revision; the ``k``-th pair is the ``k``-th transaction
-        of ``transactions``."""
+    def kept(self) -> Iterator[tuple[int, Transaction, list[int]]]:
+        """Each original transaction that keeps a frequent item, with its
+        0-based position ``p`` in ``database.transactions`` and the ranks
+        of those items, ascending: the frequent item of rank ``r`` is
+        ``order.items[r]``.  This alone decides which transactions
+        survive revision."""
         rank = self.order.rank
-        for tx in self.database.transactions:
+        for p, tx in enumerate(self.database.transactions):
             ranks = [rank[i] for i in tx.entries if i in rank]
             if ranks:
                 ranks.sort()
-                yield tx, ranks
+                yield p, tx, ranks
 
     @cached_property
     def transactions(self) -> tuple[Transaction, ...]:
@@ -119,7 +119,7 @@ class RevisedDatabase:
                 entries={i: tx.entries[i] for i in map(items.__getitem__, ranks)},
                 tu=tx.tu,
             )
-            for tx, ranks in self.kept()
+            for _, tx, ranks in self.kept()
         )
 
 

@@ -4,43 +4,44 @@ from it.
 For each supporting transaction a pattern has a utility share there
 (``uo``) plus the capped list of the largest shares still available
 after it (``luo``).  A node stores only what the search reads, as
-columns keyed by transaction id: ``uo_at`` maps each tid to the
-pattern's ``uo``, ``last_at`` and ``rruo_at`` to the ``uo`` and
-``sum(luo)`` of its last item, computed by the single-item build.  The
-node derives from them the support count and the means of ``uo`` and of
-``sum(luo)``, and :func:`length_upper_bound` bounds its extensions from
-the columns, so the search never touches the database.  Only iterating
-a node, which yields its ``UOTuple``s, needs ``luo`` itself, recomputed
-from the ``(rdb, maxlen)`` pair that all nodes of one build share as
-``source``.
+columns keyed by the transaction's 0-based position ``p`` in the
+database: ``uo_at`` maps each position to the pattern's ``uo``,
+``last_at`` and ``rruo_at`` to the ``uo`` and ``sum(luo)`` of its last
+item, computed by the single-item build.  The node derives from them
+the support count and the means of ``uo`` and of ``sum(luo)``, and
+:func:`length_upper_bound` bounds its extensions from the columns, so
+the search never touches the database.  Only iterating a node, which
+yields its ``UOTuple``s, needs ``luo`` itself, recomputed from the
+``(rdb, maxlen)`` pair that all nodes of one build share as ``source``.
 
 Nodes are built in two places, both as :class:`PatternNode`:
 
 * :func:`build_initial_nodes` scans the parsed database once, through
   the ranks of the total order, and builds the single-item nodes; no
   revised copy of the database is made.  A single-item node keeps the
-  scan's compact columns, its tids, shares and remainders in scan
-  order, and takes ``sup``, ``uo`` and ``rruo`` from them.  It builds
-  its tid-keyed dicts, and drops the compact columns, only when a kept
-  join, a bound sort or iteration first reads them; on a wide, sparse
-  database whose joins all abort on the masks, no dict is ever built.
+  scan's compact columns, its shares and remainders in position order,
+  and takes ``sup``, ``uo`` and ``rruo`` from them.  It builds its
+  dicts, keyed by the set bits of its mask, and drops the compact
+  columns, only when a kept join, a bound sort or iteration first reads
+  them; on a wide, sparse database whose joins all abort on the masks,
+  no dict is ever built.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order) by extending the left
   operand with one item.  A pattern's share in a transaction is the sum
   of its items' shares, so ``uo(prefix+a+b) = uo(prefix+a) + uo(b)``.
   The join reads the left operand's ``uo_at``, both masks, and the
   added item's share and remainder columns, ``last_at`` and ``rruo_at``,
-  as ``tids(prefix+a) & tids(b)`` is the union's tidset.  That item also
-  gives ``luo``, so a joined node shares the later sibling's
-  ``last_at``, ``rruo_at`` and ``source`` by reference: every node
-  ending in item ``i`` reads the dicts built for ``i``, which may hold
-  more tids than the node.
+  as the positions of ``prefix+a`` that hold ``b`` are the union's.
+  That item also gives ``luo``, so a joined node shares the later
+  sibling's ``last_at``, ``rruo_at`` and ``source`` by reference: every
+  node ending in item ``i`` reads the dicts built for ``i``, which may
+  hold more positions than the node.
 
-Every node also carries ``bits``, the set of transactions it occurs in
-as an int bitmask.  A join intersects the operands' masks first and
-counts the bits: that is the union's exact support, so an infrequent
-join returns ``None`` without reading a column, and a kept join builds
-its ``uo_at`` in one pass over the first operand.
+Every node also carries ``bits``, the set of its positions as an int
+bitmask.  A join intersects the operands' masks first and counts the
+bits: that is the union's exact support, so an infrequent join returns
+``None`` without reading a column, and a kept join builds its ``uo_at``
+in one pass over the first operand.
 
 A join into the length cap builds a leaf, a node that is reported or
 dropped on its ``uo`` alone.  The search passes such joins a
@@ -77,36 +78,40 @@ class UOTuple(NamedTuple):
     luo: tuple[float, ...]
 
 
+def _positions(bits: int) -> Iterator[int]:
+    """The set bits of ``bits``, lowest first: the database positions of
+    a mask, in the order the scan appends a single item's columns."""
+    return compress(count(), format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
+
+
 class PatternNode:
     """A pattern with its occupancy columns and the summary derived from
     them: support count ``sup`` and mean ``uo``.  The paper's UO-nlist
     and FUO-table of the pattern are both this one node: iterating it
-    yields its ``UOTuple``s in ascending tid order, and its ``len`` is
-    ``sup``.
+    yields its ``UOTuple``s in database order, each with the tid of its
+    transaction, and its ``len`` is ``sup``.
 
-    ``uo_at`` maps each supporting tid, in ascending order, to the
-    pattern's share there.  ``last_at`` and ``rruo_at`` map tids to the
-    share and to ``sum(luo)`` of the pattern's last item alone; joined
-    nodes share their last item's dicts, so these may hold tids the
-    pattern does not occur in.  ``last_at`` is ``uo_at`` for a single
-    item.  Only the tids of ``uo_at`` belong to the node.  ``source`` is
-    the shared, read-only ``(rdb, maxlen)`` pair each iterated
-    ``UOTuple`` derives its ``luo`` from.  A join reads a left operand's
-    ``uo_at``; of a right one it reads the mask and what its last item
-    shares: ``last_at``, ``rruo_at`` and ``source``.
-
-    ``bits`` has bit ``k`` set when the pattern occurs at position ``k``
-    of the revised database, the ``k``-th transaction that keeps a
-    frequent item, so a mask takes one bit per transaction whatever the
-    tids are.
+    ``bits`` has bit ``p`` set when the pattern occurs in
+    ``rdb.database.transactions[p]``, so a mask takes one bit per
+    transaction whatever the tids are.  ``uo_at`` maps each of those
+    positions, in ascending order, to the pattern's share there.
+    ``last_at`` and ``rruo_at`` map positions to the share and to
+    ``sum(luo)`` of the pattern's last item alone; joined nodes share
+    their last item's dicts, so these may hold positions the pattern
+    does not occur at.  ``last_at`` is ``uo_at`` for a single item.
+    ``source`` is the shared, read-only ``(rdb, maxlen)`` pair each
+    iterated ``UOTuple`` derives its ``luo`` from.  A join reads a left
+    operand's ``uo_at``; of a right one it reads the mask and what its
+    last item shares: ``last_at``, ``rruo_at`` and ``source``.
 
     A single-item node from :func:`build_initial_nodes` starts compact:
-    instead of the three dicts it holds the scan's columns, a list of
-    tids, an ``array('d')`` of shares and a list of remainders, all in
-    scan order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
+    instead of the three dicts it holds the scan's columns, an
+    ``array('d')`` of shares and a list of remainders, both in position
+    order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
     same order as over the dicts.  The first read of ``uo_at``,
     ``last_at`` or ``rruo_at``, by a kept join, a bound sort or
-    iteration, builds the dicts from the columns and drops the columns.
+    iteration, builds the dicts, keyed by the set bits of ``bits``, and
+    drops the columns.
     """
 
     __slots__ = (
@@ -136,7 +141,6 @@ class PatternNode:
     def _compact(
         cls,
         pattern: Pattern,
-        tids: list[int],
         shares: array[float],
         rests: list[float],
         bits: int,
@@ -146,11 +150,11 @@ class PatternNode:
         built on first read."""
         node = cls.__new__(cls)
         node.pattern = pattern
-        node.sup = len(tids)
+        node.sup = len(shares)
         node.uo = sum(shares) / node.sup
         node.bits = bits
         node.source = source
-        node._columns = (tids, shares, rests)
+        node._columns = (shares, rests)
         return node
 
     def __getattr__(self, name: str) -> dict[int, float]:
@@ -158,9 +162,9 @@ class PatternNode:
         # unset dict slots of a compact node: build them once and keep them
         if name not in ("uo_at", "last_at", "rruo_at") or self._columns is None:
             raise AttributeError(name)
-        tids, shares, rests = self._columns
-        self.uo_at = self.last_at = dict(zip(tids, shares))
-        self.rruo_at = dict(zip(tids, rests))
+        shares, rests = self._columns
+        self.uo_at = self.last_at = dict(zip(_positions(self.bits), shares))
+        self.rruo_at = dict(zip(self.uo_at, rests))  # the same key objects
         self._columns = None
         return getattr(self, name)
 
@@ -169,10 +173,9 @@ class PatternNode:
 
     def __iter__(self) -> Iterator[UOTuple]:
         rdb, maxlen = self.source
-        transactions = iter(rdb.database.transactions)  # holds the node's tids in order
-        for tid, uo in self.uo_at.items():
-            tx = next(tx for tx in transactions if tx.tid == tid)
-            yield UOTuple(tid, uo, luo_in_transaction(self.pattern[-1:], tx, rdb, maxlen))
+        for p, uo in self.uo_at.items():
+            tx = rdb.database.transactions[p]
+            yield UOTuple(tx.tid, uo, luo_in_transaction(self.pattern[-1:], tx, rdb, maxlen))
 
     @property
     def tuples(self) -> PatternNode:
@@ -183,7 +186,7 @@ class PatternNode:
     def rruo(self) -> float:
         """Mean ``sum(luo)``: the remaining occupancy under the length cap."""
         if self._columns is not None:
-            return sum(self._columns[2]) / self.sup
+            return sum(self._columns[1]) / self.sup
         return sum(map(self.rruo_at.__getitem__, self.uo_at)) / self.sup
 
     @property
@@ -208,7 +211,7 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
     values bounds its occupancy.
     """
     rruo_at = node.rruo_at
-    values = sorted([uo + rruo_at[tid] for tid, uo in node.uo_at.items()], reverse=True)
+    values = sorted([uo + rruo_at[p] for p, uo in node.uo_at.items()], reverse=True)
     return sum(values[:min_sup_count]) / min_sup_count
 
 
@@ -218,37 +221,34 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
     shares among the items after it in the same transaction.  The scan
     reads ``rdb.kept()``, so ``rdb.transactions`` is never built, and
-    walks each transaction's ranks last first.  It appends each entry to
-    three compact columns of its item's rank: the tid to a list, the
-    share to an ``array('d')``, which keeps no float object, and the
-    capped remainder to a list, where consecutive entries share one
-    float.  The nodes keep these columns until a kept join, a bound sort
-    or iteration reads their dicts.  The top shares seen so far are a
-    short descending list, appended to while it has room, else its
-    smallest entry replaced by a larger share; it is re-sorted and
-    re-summed, largest first, only when it changes.  Each item's
-    ``bits`` mark its positions in the revised database, gathered in a
-    bytearray holding one bit per transaction.
+    walks each transaction's ranks last first.  Each entry at position
+    ``p`` goes to its item's two compact columns, the share to an
+    ``array('d')``, which keeps no float object, and the capped remainder
+    to a list, where consecutive entries share one float; it sets bit
+    ``p`` of the item's mask, a bytearray of one bit per transaction.
+    The nodes keep these columns until a kept join, a bound sort or
+    iteration reads their dicts.  The top shares seen so far are a short
+    descending list, appended to while it has room, else its smallest
+    entry replaced by a larger share; it is re-sorted and re-summed,
+    largest first, only when it changes.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
     items = rdb.order.items
     unit = [rdb.database.utility_table[item] for item in items]
-    tids: list[list[int]] = [[] for _ in items]
     shares = [array("d") for _ in items]
     rests: list[list[float]] = [[] for _ in items]
     masks = [bytearray((rdb.database.size + 7) // 8) for _ in items]
     slots = maxlen - 1
     source = (rdb, maxlen)
 
-    for k, (tx, ranks) in enumerate(rdb.kept()):
-        byte, bit = k >> 3, 1 << (k & 7)
-        tid, tu, entries = tx.tid, tx.tu, tx.entries
+    for p, tx, ranks in rdb.kept():
+        byte, bit = p >> 3, 1 << (p & 7)
+        tu, entries = tx.tu, tx.entries
         top: list[float] = []
         rest = 0.0
         for r in reversed(ranks):
             share = entries[items[r]] * unit[r] / tu
-            tids[r].append(tid)
             shares[r].append(share)
             rests[r].append(rest)
             masks[r][byte] |= bit
@@ -264,7 +264,7 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
 
     return tuple(
         PatternNode._compact(
-            (item,), tids[r], shares[r], rests[r], int.from_bytes(masks[r], "little"), source
+            (item,), shares[r], rests[r], int.from_bytes(masks[r], "little"), source
         )
         for r, item in enumerate(items)
     )
@@ -278,17 +278,17 @@ def construct(
     gate: LeafGate | None = None,
 ) -> PatternNode | None:
     """Join sibling nodes ``xa`` and ``xb`` into their union pattern,
-    adding per tid the share of ``xb``'s last item to ``xa``'s share.
+    adding per position the share of ``xb``'s last item to ``xa``'s.
 
     It reads ``xa``'s ``uo_at``, both masks, and ``xb``'s ``last_at`` and
-    ``rruo_at``: a tid of ``xa`` in ``last_at`` is a tid of the union.
+    ``rruo_at``: a position of ``xa`` in ``last_at`` is one of the union.
     Returns ``None`` when the union's support, counted from the
     intersected masks, is below ``min_sup_count``.  With a ``gate``, for
     a join into the length cap, it also returns ``None`` when the gate
     proves from the masks that the union's ``uo`` is below ``minuo``, so
     that the node, which would be neither reported nor joined, is never
     built; without one, ``None`` means an infrequent union and nothing
-    else.  No tid is read before either decision.  ``prefix`` is not
+    else.  No column is read before either decision.  ``prefix`` is not
     read.  It stays first because the benchmark's tracer
     (``perfbench/sample.py``) unpacks ``(prefix, xa, xb)`` from the
     positional arguments.
@@ -299,7 +299,7 @@ def construct(
         return None
 
     last = xb.last_at
-    uo_at = {tid: u + last[tid] for tid, u in xa.uo_at.items() if tid in last}
+    uo_at = {p: u + last[p] for p, u in xa.uo_at.items() if p in last}
     return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, last, xb.rruo_at, bits, xb.source)
 
 
@@ -319,29 +319,29 @@ def _plane_table(j: int) -> bytes:
 def share_planes(node: PatternNode) -> list[int]:
     """Bit planes of a single-item node's fixed-point shares.
 
-    Plane ``j`` has bit ``k`` set when bit ``j`` of ``ceil(share *
-    2**SCALE_BITS)`` is set at position ``k``; a share of 1.0, the whole
-    of a one-item transaction, sets plane ``SCALE_BITS`` alone.  The
-    node's ``i``-th share sits at the ``i``-th set bit of its ``bits``,
-    as the scan appends both in position order, so no tid is looked up.
+    Plane ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share *
+    2**SCALE_BITS)`` is set at position ``p``; a share of 1.0, the whole
+    of a one-item transaction, sets plane ``SCALE_BITS`` alone.
     """
-    shares: Iterable[float] = node.uo_at.values() if node._columns is None else node._columns[1]
-    flags = format(node.bits, "b")[::-1].encode().replace(b"0", b"\0")  # bit k as byte k
+    if node._columns is None:
+        entries: Iterable[tuple[int, float]] = node.uo_at.items()
+    else:
+        entries = zip(_positions(node.bits), node._columns[0])
     scale, low_bits = float(1 << SCALE_BITS), (1 << SCALE_BITS) - 1
-    low = bytearray(len(flags))
+    low = bytearray(node.bits.bit_length())
     high = []
-    for k, share in zip(compress(count(), flags), shares):
+    for p, share in entries:
         w = ceil(share * scale)
         if w > low_bits:  # a share of 1.0 or more: rare
-            high.append((k, w >> SCALE_BITS))
+            high.append((p, w >> SCALE_BITS))
             w &= low_bits
-        low[k] = w
+        low[p] = w
     low.reverse()  # int() reads the highest position first
     planes = [int(low.translate(_plane_table(j)), 2) for j in range(SCALE_BITS)]
-    for k, w in high:
+    for p, w in high:
         planes.extend([0] * (SCALE_BITS + w.bit_length() - len(planes)))
         for j in range(w.bit_length()):
-            planes[SCALE_BITS + j] |= (w >> j & 1) << k
+            planes[SCALE_BITS + j] |= (w >> j & 1) << p
     return planes
 
 
@@ -359,12 +359,12 @@ def _add_planes(a: list[int], b: list[int]) -> list[int]:
 
 class LeafGate:
     """Rejects a join into the length cap whose node could not be
-    reported, reading its mask and no tid (a bit-sliced index, O'Neil and
-    Quass, SIGMOD 1997).
+    reported, reading its mask and no column (a bit-sliced index, O'Neil
+    and Quass, SIGMOD 1997).
 
     A leaf is reported when its float ``uo`` reaches ``minuo``, and that
-    ``uo`` is the mean over the leaf's tids of the left-to-right sum of
-    its items' shares.  For nonnegative shares it exceeds the exact mean
+    ``uo`` is the mean over the leaf's positions of the left-to-right sum
+    of its items' shares.  For nonnegative shares it exceeds the exact mean
     by a factor of at most ``1 + γ`` with ``γ = m·u / (1 - m·u)``, ``m =
     L + sup`` and ``u = 2**-53``, and by twice that with the compensated
     ``sum`` of CPython 3.12 and later.  The fixed-point sum ``total`` of

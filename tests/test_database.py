@@ -134,7 +134,7 @@ def test_revision_is_a_view_of_the_database(sample_db):
     assert rdb.order is order
     assert "transactions" not in vars(rdb)
     assert rdb.transactions is rdb.transactions
-    assert [tx for tx, _ in rdb.kept()] == list(sample_db.transactions)
+    assert [(p, tx) for p, tx, _ in rdb.kept()] == list(enumerate(sample_db.transactions))
 
 
 def test_transaction_is_slotted_and_frozen():

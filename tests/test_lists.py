@@ -84,18 +84,19 @@ def test_initial_nodes_build_no_revised_copy(sample_db):
     assert "transactions" not in vars(rdb)
 
 
-def test_initial_bits_number_kept_positions():
+def test_initial_bits_number_database_positions():
     # tid 2 holds only the infrequent z and drops out of the revised
-    # database, so tid 3 sits at position 1
+    # database, but positions number the parsed database, so tid 3 sits
+    # at position 2
     db = build_database(
         [(1, {"a": 1, "b": 1}), (2, {"z": 3}), (3, {"a": 2, "b": 1})],
         {"a": 1, "b": 1, "z": 1},
     )
     rdb = revise_database(db, build_total_order(support_counts(db), 2))
     nodes = {db.labels_of(n.pattern)[0]: n for n in build_initial_nodes(rdb, 3)}
-    assert nodes["a"].bits == 0b11
-    assert nodes["b"].bits == 0b11
-    assert list(nodes["a"].uo_at) == [1, 3]
+    assert nodes["a"].bits == 0b101
+    assert nodes["b"].bits == 0b101
+    assert list(nodes["a"].uo_at) == [0, 2]
 
 
 def test_tuple_shares_match_direct_scan(sample_db, rdb, nodes):
@@ -169,16 +170,16 @@ def _check_node(db, rdb, maxlen, singles, node):
     assert node.fuot.uo == sum(t.uo for t in node.uonl.tuples) / node.fuot.sup
     assert tids == _supporting_tids(db, node.pattern)
     assert node.bits.bit_count() == node.fuot.sup
-    # bit k marks the k-th transaction of the revised database
+    # bit p marks the p-th transaction of the database
     tid_set = set(tids)
-    assert node.bits == sum(1 << k for k, tx in enumerate(rdb.transactions) if tx.tid in tid_set)
+    assert node.bits == sum(1 << p for p, tx in enumerate(db.transactions) if tx.tid in tid_set)
     by_tid = {tx.tid: tx for tx in rdb.transactions}
     # joined tuples inherit luo from the last item's single-item list,
     # which is what makes the length-aware bound sound at every depth
     last = node.pattern[-1:]
     last_luo = {t.tid: t.luo for t in singles[last].uonl.tuples}
     rruo_total = 0.0
-    for t in node.uonl.tuples:
+    for p, t in zip(node.uo_at, node.uonl.tuples):
         tx = by_tid[t.tid]
         assert t.luo == last_luo[t.tid]
         assert t.uo == pytest.approx(
@@ -188,7 +189,7 @@ def _check_node(db, rdb, maxlen, singles, node):
         assert list(t.luo) == sorted(t.luo, reverse=True)
         assert t.luo == pytest.approx(luo_in_transaction(last, tx, rdb, maxlen), abs=1e-12)
         # the one stored remainder column is the reference's sum exactly
-        assert node.rruo_at[t.tid] == sum(t.luo)
+        assert node.rruo_at[p] == sum(t.luo)
         rruo_total += rruo_in_transaction(last, tx, rdb, maxlen)
     assert node.fuot.uo == pytest.approx(uo_of_pattern(node.pattern, db), abs=1e-9)
     assert node.fuot.rruo == pytest.approx(rruo_total / node.fuot.sup, abs=1e-9)
@@ -301,13 +302,49 @@ def test_node_is_its_own_uo_nlist(db, min_sc):
     def walk(exten):
         for pos, xa in enumerate(exten):
             assert len(xa) == xa.sup
-            assert [t.tid for t in xa] == list(xa.uo_at)
+            assert [t.tid for t in xa] == [db.transactions[p].tid for p in xa.uo_at]
             assert list(xa) == list(xa.uonl.tuples)
             assert xa.tuples is xa
             joined = (construct(None, xa, xb, 1) for xb in exten[pos + 1 :])
             walk([node for node in joined if node is not None])
 
     walk(list(nodes))
+
+
+def _check_one_index(db, maxlen, min_sc):
+    # every node the walk builds keys its columns by the database
+    # positions its mask sets, and each of its UOTuples carries the tid
+    # of the transaction at that position
+    rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
+
+    def walk(exten, depth_left):
+        for pos, xa in enumerate(exten):
+            positions = [p for p in range(xa.bits.bit_length()) if xa.bits >> p & 1]
+            assert list(xa.uo_at) == positions
+            assert [t.tid for t in xa] == [db.transactions[p].tid for p in positions]
+            if depth_left > 0:
+                joined = (construct(None, xa, xb, min_sc) for xb in exten[pos + 1 :])
+                walk([node for node in joined if node is not None], depth_left - 1)
+
+    walk(build_initial_nodes(rdb, maxlen), maxlen - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_databases(), st.integers(1, 4), st.integers(1, 2))
+def test_columns_are_keyed_by_the_positions_of_the_mask(db, maxlen, min_sc):
+    _check_one_index(db, maxlen, min_sc)
+
+
+def test_columns_are_keyed_by_position_whatever_the_tids():
+    # tids k * 10**12; every seventh transaction holds only the infrequent
+    # z and drops out of the revised database, but keeps its position
+    rows = [
+        (k * 10**12, {"z": 1} if k % 7 == 0 else
+         {label: 1 + (k + j) % 4 for j, label in enumerate("abcde") if (k * j) % 3 != 1})
+        for k in range(1, 31)
+    ]
+    db = build_database(rows, {"a": 3, "b": 5, "c": 1, "d": 2, "e": 10, "z": 1})
+    _check_one_index(db, 3, min_support_count(0.2, db.size))
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,9 +384,10 @@ def test_compact_single_item_nodes_read_as_their_dicts(db, maxlen, min_sc):
 
 
 def test_initial_nodes_hold_few_bytes_per_entry():
-    # the sparse-wide shape scaled down: the compact single-item columns
-    # hold about 44 B per revised entry under CPython 3.10 to 3.13, the
-    # README's "about 43 B"; after the parse, these nodes set the peak
+    # the sparse-wide shape scaled down: the compact single-item columns,
+    # shares and remainders only, hold about 36 B per revised entry under
+    # CPython 3.10 to 3.13, the README's figure; after the parse, these
+    # nodes set the peak
     db = generate_synthetic(
         GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
     )
@@ -364,14 +402,14 @@ def test_initial_nodes_hold_few_bytes_per_entry():
         tracemalloc.stop()
     entries = sum(n.sup for n in nodes)
     assert entries == 49_167
-    assert held / entries < 48
+    assert held / entries < 40
 
 
 def test_initial_nodes_stay_compact_while_every_join_aborts():
     # sparse-wide scaled down: 95 frequent items, each in about 2.6 % of
     # the transactions, so every join aborts on the masks and no node
-    # builds its tid-keyed dicts; those held about 114 B per entry, the
-    # compact columns hold about 44 under CPython 3.10 to 3.13
+    # builds its position-keyed dicts; those hold about 142 B per entry,
+    # the compact columns about 36 under CPython 3.10 to 3.13
     db = generate_synthetic(
         GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
     )
@@ -390,7 +428,7 @@ def test_initial_nodes_stay_compact_while_every_join_aborts():
     finally:
         tracemalloc.stop()
     assert aborted == len(nodes) * (len(nodes) - 1) // 2 > 0
-    assert held / sum(n.sup for n in nodes) < 64
+    assert held / sum(n.sup for n in nodes) < 48
 
 
 def _plane_weights(planes, position):
@@ -402,7 +440,8 @@ def test_share_planes_hold_each_share_rounded_up():
     # in binary; a one-item transaction gives a share of exactly 1.0, the
     # one weight of 2**K, and a unit utility of 1e-300 against 1e10 gives
     # the subnormal share 1e-310, which still weighs 1.  Tid 3 keeps no
-    # frequent item, so the positions skip it: tid 4 is position 2
+    # frequent item, but positions number the parsed database: tid 4 is
+    # position 3
     rows = [(1, {"a": 1}), (2, {"a": 1, "b": 1, "c": 1}), (3, {"d": 1}),
             (4, {"a": 3, "c": 1}), (5, {"a": 2, "b": 1})]
     db = build_database(rows, {"a": 7, "b": 1e-300, "c": 1e10, "d": 1})
@@ -410,16 +449,18 @@ def test_share_planes_hold_each_share_rounded_up():
     nodes = build_initial_nodes(rdb, 3)
     labels = {db.labels_of(n.pattern)[0]: n for n in nodes}
     assert set(labels) == {"a", "b", "c"}
-    positions = {1: 0, 2: 1, 4: 2, 5: 3}
+    positions = {1: 0, 2: 1, 4: 3, 5: 4}
     shares = {}
     for label, node in labels.items():
         assert node._columns is not None
         planes = share_planes(node)  # read from the scan's columns
-        for tid, share in node.uo_at.items():  # builds the dicts
-            assert _plane_weights(planes, positions[tid]) == math.ceil(share * 2**SCALE_BITS)
+        for p, share in node.uo_at.items():  # builds the dicts
+            tid = db.transactions[p].tid
+            assert positions[tid] == p
+            assert _plane_weights(planes, p) == math.ceil(share * 2**SCALE_BITS)
             shares[label, tid] = share
         assert share_planes(node) == planes  # read from the dicts
-        unset = set(range(4)) - {positions[tid] for tid in node.uo_at}
+        unset = set(range(5)) - set(node.uo_at)
         assert all(_plane_weights(planes, k) == 0 for k in unset)
     assert shares["a", 1] == 1.0 and _plane_weights(share_planes(labels["a"]), 0) == 2**SCALE_BITS
     assert 0 < shares["b", 2] < 2.2250738585072014e-308  # subnormal
