@@ -8,6 +8,10 @@ utility ``tu`` is the sum of those products over the whole transaction.
 recomputed afterwards, in particular not where a
 :class:`RevisedDatabase` view leaves infrequent items out.
 
+A database keeps its transactions in flat columns, one entry per item
+of a transaction, and builds a :class:`Transaction` only when one is
+read through :attr:`TransactionDatabase.transactions`.
+
 Each label of the utility table gets a dense integer id when a database
 is built, in ascending label order (numeric for all-digit labels, of
 any length, lexicographic otherwise), so comparing ids reproduces the
@@ -17,11 +21,11 @@ natural order of the original identifiers.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import InvalidDatabaseError, InvalidParamsError
@@ -55,21 +59,73 @@ class Transaction:
 
 @dataclass(frozen=True)
 class TransactionDatabase:
-    """An ordered collection of transactions plus the unit-utility table.
+    """The transactions as flat columns in CSR (compressed sparse row)
+    layout, plus the unit-utility table.
 
-    ``item_labels[i]`` is the external label of item id ``i``.
+    Transaction ``p``, 0-based, is the run of entries from ``ends[p - 1]``
+    (0 for the first) up to ``ends[p]``: entry ``e`` is item ``items[e]``
+    with quantity ``quantities[e]``, in the order its row listed them.
+    ``tus[p]`` is its utility and ``tids[p]`` its id, a ``range`` when the
+    ids are ``1..n``.  ``quantities`` is a list, so that ints of any size,
+    ``math.inf`` and spmf's float utilities all fit.  ``item_labels[i]``
+    is the external label of item id ``i``.  :attr:`transactions` reads
+    the columns as a sequence of :class:`Transaction`.
     """
 
-    transactions: tuple[Transaction, ...]
+    items: array[int]
+    quantities: list[float]
+    ends: array[int]
+    tus: array[float]
+    tids: Sequence[int]
     utility_table: Mapping[int, float]
     item_labels: tuple[str, ...]
 
     @property
     def size(self) -> int:
-        return len(self.transactions)
+        return len(self.tus)
+
+    @cached_property
+    def transactions(self) -> _Transactions:
+        """A read-only sequence of the transactions, each built from the
+        columns when indexed or iterated."""
+        return _Transactions(self)
 
     def labels_of(self, pattern: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.item_labels[i] for i in pattern)
+
+
+class _Transactions(Sequence[Transaction]):
+    """The transactions of a :class:`TransactionDatabase`, read from its
+    columns: ``len`` is O(1), and indexing or iterating builds each
+    :class:`Transaction` afresh."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, db: TransactionDatabase) -> None:
+        self._db = db
+
+    def __len__(self) -> int:
+        return len(self._db.tus)
+
+    def __getitem__(self, p: int) -> Transaction:
+        db = self._db
+        n = len(db.tus)
+        if p < 0:
+            p += n
+        if not 0 <= p < n:
+            raise IndexError("transaction index out of range")
+        start, end = db.ends[p - 1] if p else 0, db.ends[p]
+        return Transaction(
+            db.tids[p], dict(zip(db.items[start:end], db.quantities[start:end])), db.tus[p]
+        )
+
+    def __iter__(self) -> Iterator[Transaction]:
+        db = self._db
+        items, quantities = db.items, db.quantities
+        start = 0
+        for tid, end, tu in zip(db.tids, db.ends, db.tus):
+            yield Transaction(tid, dict(zip(items[start:end], quantities[start:end])), tu)
+            start = end
 
 
 @dataclass(frozen=True)
@@ -86,7 +142,7 @@ class RevisedDatabase:
     """A view of ``database`` through ``order``: infrequent items stripped,
     the rest sorted by the order, transactions left empty dropped.
 
-    The view holds no copy.  :meth:`kept` walks the original transactions
+    The view holds no copy.  :meth:`kept` walks the database's columns
     and is all the initial scan reads; ``transactions``, the revised copy,
     is built on first access only.  Support thresholds stay relative to
     the size of the original database, and ``tu`` values are carried
@@ -96,30 +152,38 @@ class RevisedDatabase:
     database: TransactionDatabase
     order: TotalOrder
 
-    def kept(self) -> Iterator[tuple[int, Transaction, list[int]]]:
-        """Each original transaction that keeps a frequent item, with its
-        0-based position ``p`` in ``database.transactions`` and the ranks
-        of those items, ascending: the frequent item of rank ``r`` is
-        ``order.items[r]``.  This alone decides which transactions
-        survive revision."""
-        rank = self.order.rank
-        for p, tx in enumerate(self.database.transactions):
-            ranks = [rank[i] for i in tx.entries if i in rank]
-            if ranks:
-                ranks.sort()
-                yield p, tx, ranks
+    def kept(self) -> Iterator[tuple[int, list[int]]]:
+        """Each original transaction that keeps a frequent item, as its
+        0-based position ``p`` in ``database.transactions`` and the indexes
+        of those items' entries in the database's columns, ascending by
+        rank.  This alone decides which transactions survive revision.
+
+        A column holds each entry's place in the mining order, its item's
+        rank plus 1, or 0 for an infrequent item.  Each transaction's run of
+        entry indexes is filtered on that place and sorted by it, both in
+        C; the column lives as long as the iteration."""
+        db = self.database
+        by_item = [0] * len(db.item_labels)
+        for place, item in enumerate(self.order.items, start=1):
+            by_item[item] = place
+        key = list(map(by_item.__getitem__, db.items)).__getitem__
+        start = 0
+        for p, end in enumerate(db.ends):
+            entries = sorted(filter(key, range(start, end)), key=key)
+            start = end
+            if entries:
+                yield p, entries
 
     @cached_property
     def transactions(self) -> tuple[Transaction, ...]:
         """The revised transactions, copied from the original ones."""
-        items = self.order.items
+        db = self.database
+        items, quantities = db.items, db.quantities
         return tuple(
             Transaction(
-                tid=tx.tid,
-                entries={i: tx.entries[i] for i in map(items.__getitem__, ranks)},
-                tu=tx.tu,
+                tid=db.tids[p], entries={items[e]: quantities[e] for e in entries}, tu=db.tus[p]
             )
-            for _, tx, ranks in self.kept()
+            for p, entries in self.kept()
         )
 
 
@@ -186,15 +250,35 @@ def _number_items(
     return labels, ids, table
 
 
-def _transaction(tid: int, by_id: Mapping[int, float], tu: float) -> Transaction:
-    """The transaction, once its utility is known to be finite and above
-    0: every loader checks it here.  The utility sums float products of
-    positive numbers, which can overflow to infinity or underflow to 0."""
-    if tu == math.inf:  # a product past the float range, or an int beyond it
-        raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
-    if tu == 0:  # products below the least positive float; shares divide by tu
-        raise InvalidDatabaseError(f"utility of transaction {tid} underflows to 0")
-    return Transaction(tid, by_id, tu)
+def _columns(
+    rows: Iterable[tuple[int, dict[int, float], float]],
+    table: dict[int, float],
+    labels: tuple[str, ...],
+) -> TransactionDatabase:
+    """The database of id-keyed ``(tid, {item: quantity}, tu)`` rows, the
+    one place every loader stores its transactions.  Each row's utility is
+    checked as the row arrives, so errors stay in file order: it sums float
+    products of positive numbers, which can overflow to infinity or
+    underflow to 0.  A row's dict goes to the columns in one extend each;
+    tids are stored only once one is not its 1-based position."""
+    items, quantities, ends, tus = array("i"), [], array("q"), array("d")
+    tids: list[int] | range | None = None
+    for tid, by_id, tu in rows:
+        if tu == math.inf:  # a product past the float range, or an int beyond it
+            raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
+        if tu == 0:  # products below the least positive float; shares divide by tu
+            raise InvalidDatabaseError(f"utility of transaction {tid} underflows to 0")
+        items.extend(by_id)
+        quantities.extend(by_id.values())
+        ends.append(len(items))
+        tus.append(tu)
+        if tids is not None:
+            tids.append(tid)
+        elif tid != len(tus):
+            tids = [*range(1, len(tus)), tid]
+    if tids is None:
+        tids = range(1, len(tus) + 1)
+    return TransactionDatabase(items, quantities, ends, tus, tids, table, labels)
 
 
 def build_database(
@@ -225,40 +309,42 @@ def build_database(
             raise InvalidDatabaseError(f"the utility table lists item {label!r} twice")
         util[label] = float(eu)
     labels, ids, table = _number_items(util)
-    transactions = []
-    last_tid = 0
-    for tid, entries in rows:
-        if not isinstance(tid, int) or tid <= 0:
-            raise InvalidDatabaseError(f"transaction ids must be positive integers, got {tid!r}")
-        if tid <= last_tid:
-            raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
-        last_tid = tid
-        by_id: dict[int, float] = {}
-        tu = 0.0
-        for label, qty in entries.items():
-            item = ids.get(str(label))
-            if item is None:
-                raise InvalidDatabaseError(f"no unit utility known for item {str(label)!r}")
-            if not qty > 0:  # also rejects nan
-                raise InvalidDatabaseError(
-                    f"quantity for item {str(label)!r} in transaction {tid} must be positive, got {qty!r}"
-                )
-            by_id[item] = qty
-            try:
-                tu += qty * table[item]
-            except OverflowError:  # an int quantity beyond the float range
-                tu = math.inf
-        if len(by_id) < len(entries):  # keys such as 1 and "1" name one item
-            raise InvalidDatabaseError(f"transaction {tid} lists an item twice")
-        transactions.append(_transaction(tid, by_id, tu))
-    return TransactionDatabase(
-        transactions=tuple(transactions), utility_table=table, item_labels=labels
-    )
+
+    def id_rows() -> Iterator[tuple[int, dict[int, float], float]]:
+        last_tid = 0
+        for tid, entries in rows:
+            if not isinstance(tid, int) or tid <= 0:
+                raise InvalidDatabaseError(f"transaction ids must be positive integers, got {tid!r}")
+            if tid <= last_tid:
+                raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
+            last_tid = tid
+            by_id: dict[int, float] = {}
+            tu = 0.0
+            for label, qty in entries.items():
+                item = ids.get(str(label))
+                if item is None:
+                    raise InvalidDatabaseError(f"no unit utility known for item {str(label)!r}")
+                if not qty > 0:  # also rejects nan
+                    raise InvalidDatabaseError(
+                        f"quantity for item {str(label)!r} in transaction {tid} must be positive, got {qty!r}"
+                    )
+                by_id[item] = qty
+                try:
+                    tu += qty * table[item]
+                except OverflowError:  # an int quantity beyond the float range
+                    tu = math.inf
+            if len(by_id) < len(entries):  # keys such as 1 and "1" name one item
+                raise InvalidDatabaseError(f"transaction {tid} lists an item twice")
+            yield tid, by_id, tu
+
+    return _columns(id_rows(), table, labels)
 
 
 def support_counts(db: TransactionDatabase) -> dict[int, int]:
-    """Number of transactions containing each item, in first-seen order."""
-    return Counter(chain.from_iterable(tx.entries for tx in db.transactions))
+    """Number of transactions containing each item, in first-seen order:
+    the count of each id in the item column, as an item is listed at most
+    once per transaction."""
+    return Counter(db.items)
 
 
 def build_total_order(counts: Mapping[int, int], min_sup_count: int) -> TotalOrder:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .database import HUOPResult, TransactionDatabase, build_database
-from .database import _decimal_digits, _number_items, _transaction
+from .database import _columns, _decimal_digits, _number_items
 from .errors import DatasetFormatError, InvalidParamsError
 
 TU_TOLERANCE = 1e-6
@@ -43,6 +43,10 @@ TU_TOLERANCE = 1e-6
 # whose pairs rarely repeat (distinct quantities) would otherwise grow the
 # memo with its own size and gain no hits, only time and memory.
 _PAIR_MEMO_CAP = 4096
+
+# The characters a data-line reader splits into lines at a time: the
+# lines of one chunk, not of the whole text, live at once.
+_CHUNK_CHARS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +73,22 @@ def _read_text(source) -> str:
 
 def _data_lines(text: str, allow_comments: bool) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, stripped line)`` for the data lines of
-    ``text``.  ``str.splitlines`` lists every line when the iteration
-    starts, and the list lives until it ends; a caller that needs the
-    lines twice iterates the text twice instead of keeping them longer."""
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if allow_comments and line.startswith("#"):
-            continue
-        yield no, line
+    ``text``.  The text is split in chunks of about ``_CHUNK_CHARS``
+    characters, each cut just after a ``\\n``, which always ends a line
+    under ``str.splitlines``: the lines, their numbers and their ends are
+    those of ``text.splitlines()``, and only one chunk's list of lines is
+    alive at a time."""
+    no = start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        for no, raw in enumerate(text[start:cut].splitlines(), start=no + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            if allow_comments and line.startswith("#"):
+                continue
+            yield no, line
+        start = cut
 
 
 def _float(text: str, what: str, no: int) -> float:
@@ -149,9 +159,9 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
 
     The profit file is read first, each line an item.  The quantity file
     is then read in one pass, each line converted straight to its
-    id-keyed transaction.  A pair text read before is looked up in a
-    bounded memo instead of parsed again; the errors and the database are
-    the same either way.
+    id-keyed row and stored in the database's columns.  A pair text read
+    before is looked up in a bounded memo instead of parsed again; the
+    errors and the database are the same either way.
     """
     utilities: dict[str, float] = {}
     for no, line in _data_lines(_read_text(profit_source), allow_comments=True):
@@ -167,51 +177,50 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
         utilities[label] = eu
     labels, ids, table = _number_items(utilities)
 
-    memo: dict[str, tuple[int, int, float]] = {}  # pair text -> (item, qty, utility)
-    transactions = []
-    lines = _data_lines(_read_text(tx_source), allow_comments=True)
-    for tid, (no, line) in enumerate(lines, start=1):
-        by_id: dict[int, int] = {}
-        tu = 0.0
-        for pair in line.split():
-            entry = memo.get(pair)
-            if entry is None:
-                label, sep, qty_text = pair.rpartition(":")
-                if not sep or not label:
-                    raise DatasetFormatError(f"expected 'item:quantity', got {_clip(pair)!r}", no)
-                item = ids.get(label)
-                if item in by_id:
-                    raise DatasetFormatError(f"duplicate item {_clip(label)!r}", no)
-                if not qty_text.isdecimal():
-                    raise DatasetFormatError(
-                        f"bad quantity {_clip(qty_text)!r} for item {_clip(label)!r}", no
-                    )
-                # leading zeros do not count; 640 digits or more overflow
-                # the float range at any unit utility, like the product below
-                digits = _decimal_digits(qty_text)
-                if not digits:
-                    raise DatasetFormatError(
-                        f"quantity for item {_clip(label)!r} must be a positive integer, got 0", no
-                    )
-                qty = int(digits) if len(digits) < 640 else math.inf
-                if item is None:
-                    raise DatasetFormatError(f"item {_clip(label)!r} has no profit entry", no)
-                try:
-                    u = qty * table[item]
-                except OverflowError:  # an int quantity beyond the float range
-                    u = math.inf
-                if len(memo) < _PAIR_MEMO_CAP:
-                    memo[pair] = (item, qty, u)
-            else:
-                item, qty, u = entry
-                if item in by_id:
-                    raise DatasetFormatError(f"duplicate item {_clip(labels[item])!r}", no)
-            by_id[item] = qty
-            tu += u
-        transactions.append(_transaction(tid, by_id, tu))
-    return TransactionDatabase(
-        transactions=tuple(transactions), utility_table=table, item_labels=labels
-    )
+    def id_rows() -> Iterator[tuple[int, dict[int, int], float]]:
+        memo: dict[str, tuple[int, int, float]] = {}  # pair text -> (item, qty, utility)
+        lines = _data_lines(_read_text(tx_source), allow_comments=True)
+        for tid, (no, line) in enumerate(lines, start=1):
+            by_id: dict[int, int] = {}
+            tu = 0.0
+            for pair in line.split():
+                entry = memo.get(pair)
+                if entry is None:
+                    label, sep, qty_text = pair.rpartition(":")
+                    if not sep or not label:
+                        raise DatasetFormatError(f"expected 'item:quantity', got {_clip(pair)!r}", no)
+                    item = ids.get(label)
+                    if item in by_id:
+                        raise DatasetFormatError(f"duplicate item {_clip(label)!r}", no)
+                    if not qty_text.isdecimal():
+                        raise DatasetFormatError(
+                            f"bad quantity {_clip(qty_text)!r} for item {_clip(label)!r}", no
+                        )
+                    # leading zeros do not count; 640 digits or more overflow
+                    # the float range at any unit utility, like the product below
+                    digits = _decimal_digits(qty_text)
+                    if not digits:
+                        raise DatasetFormatError(
+                            f"quantity for item {_clip(label)!r} must be a positive integer, got 0", no
+                        )
+                    qty = int(digits) if len(digits) < 640 else math.inf
+                    if item is None:
+                        raise DatasetFormatError(f"item {_clip(label)!r} has no profit entry", no)
+                    try:
+                        u = qty * table[item]
+                    except OverflowError:  # an int quantity beyond the float range
+                        u = math.inf
+                    if len(memo) < _PAIR_MEMO_CAP:
+                        memo[pair] = (item, qty, u)
+                else:
+                    item, qty, u = entry
+                    if item in by_id:
+                        raise DatasetFormatError(f"duplicate item {_clip(labels[item])!r}", no)
+                by_id[item] = qty
+                tu += u
+            yield tid, by_id, tu
+
+    return _columns(id_rows(), table, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,23 @@ the support count and the means of ``uo`` and of ``sum(luo)``, and
 :func:`length_upper_bound` bounds its extensions from the columns, so
 the search never touches the database.  Only iterating a node, which
 yields its ``UOTuple``s, needs ``luo`` itself, recomputed from the
-``(rdb, maxlen)`` pair that all nodes of one build share as ``source``.
+``(rdb, maxlen, keys)`` triple that all nodes of one build share as
+``source``.
 
 Nodes are built in two places, both as :class:`PatternNode`:
 
-* :func:`build_initial_nodes` scans the parsed database once, through
-  the ranks of the total order, and builds the single-item nodes; no
-  revised copy of the database is made.  A single-item node keeps the
-  scan's compact columns, its shares and remainders in position order,
-  and takes ``sup``, ``uo`` and ``rruo`` from them.  It builds its
-  dicts, keyed by the set bits of its mask, and drops the compact
-  columns, only when a kept join, a bound sort or iteration first reads
-  them; on a wide, sparse database whose joins all abort on the masks,
-  no dict is ever built.
+* :func:`build_initial_nodes` scans the parsed database's columns
+  once, each transaction's entries in the ranks of the total order, and
+  builds the single-item nodes; no revised copy of the database is
+  made.  A single-item node keeps the scan's compact columns, its
+  shares and remainders in position order, and takes ``sup``, ``uo``
+  and ``rruo`` from them; :func:`length_upper_bound` sorts them as they
+  are.  It builds its dicts, keyed by the set bits of its mask, and
+  drops the compact columns, only when a kept join or iteration first
+  reads them; on a wide, sparse database whose joins all abort on the
+  masks, no dict is ever built.  The dicts of one build all take their
+  keys from one table of position ints, ``keys``, filled at the first
+  such read, so that a join finds each key by identity.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order) by extending the left
   operand with one item.  A pattern's share in a transaction is the sum
@@ -62,6 +66,7 @@ from collections.abc import Iterable, Iterator
 from functools import cache, reduce
 from itertools import compress, count, zip_longest
 from math import ceil
+from operator import add
 from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
@@ -78,10 +83,12 @@ class UOTuple(NamedTuple):
     luo: tuple[float, ...]
 
 
-def _positions(bits: int) -> Iterator[int]:
-    """The set bits of ``bits``, lowest first: the database positions of
-    a mask, in the order the scan appends a single item's columns."""
-    return compress(count(), format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
+def _positions(bits: int, numbers: Iterable[int]) -> Iterator[int]:
+    """The set bits of ``bits``, lowest first, each taken from ``numbers``
+    (``count()``, or a table of the ints themselves): the database
+    positions of a mask, in the order the scan appends a single item's
+    columns."""
+    return compress(numbers, format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
 
 
 class PatternNode:
@@ -99,18 +106,21 @@ class PatternNode:
     ``sum(luo)`` of the pattern's last item alone; joined nodes share
     their last item's dicts, so these may hold positions the pattern
     does not occur at.  ``last_at`` is ``uo_at`` for a single item.
-    ``source`` is the shared, read-only ``(rdb, maxlen)`` pair each
-    iterated ``UOTuple`` derives its ``luo`` from.  A join reads a left
-    operand's ``uo_at``; of a right one it reads the mask and what its
-    last item shares: ``last_at``, ``rruo_at`` and ``source``.
+    ``source`` is the ``(rdb, maxlen, keys)`` triple the nodes of one
+    build share: each iterated ``UOTuple`` derives its ``luo`` from
+    ``rdb`` and ``maxlen``, and ``keys`` is the list of position ints
+    their dicts take their keys from, empty until the first dicts of the
+    build are made.  A join reads a left operand's ``uo_at``; of a right
+    one it reads the mask and what its last item shares: ``last_at``,
+    ``rruo_at`` and ``source``.
 
     A single-item node from :func:`build_initial_nodes` starts compact:
     instead of the three dicts it holds the scan's columns, an
     ``array('d')`` of shares and a list of remainders, both in position
     order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
     same order as over the dicts.  The first read of ``uo_at``,
-    ``last_at`` or ``rruo_at``, by a kept join, a bound sort or
-    iteration, builds the dicts, keyed by the set bits of ``bits``, and
+    ``last_at`` or ``rruo_at``, by a kept join or iteration, builds the
+    dicts, keyed by the set bits of ``bits`` as taken from ``keys``, and
     drops the columns.
     """
 
@@ -125,7 +135,7 @@ class PatternNode:
         last_at: dict[int, float],
         rruo_at: dict[int, float],
         bits: int,
-        source: tuple[RevisedDatabase, int],
+        source: tuple[RevisedDatabase, int, list[int]],
     ) -> None:
         self.pattern = pattern
         self.uo_at = uo_at
@@ -144,7 +154,7 @@ class PatternNode:
         shares: array[float],
         rests: list[float],
         bits: int,
-        source: tuple[RevisedDatabase, int],
+        source: tuple[RevisedDatabase, int, list[int]],
     ) -> PatternNode:
         """A single-item node over the scan's columns; its dicts are
         built on first read."""
@@ -163,8 +173,13 @@ class PatternNode:
         if name not in ("uo_at", "last_at", "rruo_at") or self._columns is None:
             raise AttributeError(name)
         shares, rests = self._columns
-        self.uo_at = self.last_at = dict(zip(_positions(self.bits), shares))
-        self.rruo_at = dict(zip(self.uo_at, rests))  # the same key objects
+        rdb, _, keys = self.source
+        if not keys:  # the first dicts of this build: number every position once
+            keys.extend(range(rdb.database.size))
+        # every node of one build takes its keys from the same int objects,
+        # so a join's lookups match keys by identity
+        self.uo_at = self.last_at = dict(zip(_positions(self.bits, keys), shares))
+        self.rruo_at = dict(zip(self.uo_at, rests))
         self._columns = None
         return getattr(self, name)
 
@@ -172,7 +187,7 @@ class PatternNode:
         return self.sup
 
     def __iter__(self) -> Iterator[UOTuple]:
-        rdb, maxlen = self.source
+        rdb, maxlen, _ = self.source
         for p, uo in self.uo_at.items():
             tx = rdb.database.transactions[p]
             yield UOTuple(tx.tid, uo, luo_in_transaction(self.pattern[-1:], tx, rdb, maxlen))
@@ -210,8 +225,11 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
     transactions, so the mean of the ``min_sup_count`` largest such
     values bounds its occupancy.
     """
-    rruo_at = node.rruo_at
-    values = sorted([uo + rruo_at[p] for p, uo in node.uo_at.items()], reverse=True)
+    if node._columns is not None:  # the same sums, in the same order
+        values = sorted(map(add, *node._columns), reverse=True)
+    else:
+        rruo_at = node.rruo_at
+        values = sorted([uo + rruo_at[p] for p, uo in node.uo_at.items()], reverse=True)
     return sum(values[:min_sup_count]) / min_sup_count
 
 
@@ -221,37 +239,47 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
     shares among the items after it in the same transaction.  The scan
     reads ``rdb.kept()``, so ``rdb.transactions`` is never built, and
-    walks each transaction's ranks last first.  Each entry at position
-    ``p`` goes to its item's two compact columns, the share to an
-    ``array('d')``, which keeps no float object, and the capped remainder
-    to a list, where consecutive entries share one float; it sets bit
-    ``p`` of the item's mask, a bytearray of one bit per transaction.
-    The nodes keep these columns until a kept join, a bound sort or
+    walks each transaction's entries of frequent items last rank first,
+    reading the database's item, quantity and ``tu`` columns; each share
+    is ``quantity * unit / tu``, as the measures compute it.  Each entry
+    at position ``p`` goes to its item's two compact columns, the share
+    to an ``array('d')``, which keeps no float object, and the capped
+    remainder to a list, where consecutive entries share one float; it
+    sets bit ``p`` of the item's mask, a bytearray of one bit per
+    transaction.  The nodes keep these columns until a kept join or
     iteration reads their dicts.  The top shares seen so far are a short
     descending list, appended to while it has room, else its smallest
     entry replaced by a larger share; it is re-sorted and re-summed,
-    largest first, only when it changes.
+    largest first, only when it changes, and not at all after the entry
+    walked last, whose remainder is already taken.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
-    items = rdb.order.items
-    unit = [rdb.database.utility_table[item] for item in items]
-    shares = [array("d") for _ in items]
-    rests: list[list[float]] = [[] for _ in items]
-    masks = [bytearray((rdb.database.size + 7) // 8) for _ in items]
+    db = rdb.database
+    items, quantities, tus, unit = db.items, db.quantities, db.tus, db.utility_table
+    # each frequent item's columns, indexed by item id
+    shares: list[array[float] | None] = [None] * len(db.item_labels)
+    rests: list[list[float] | None] = [None] * len(db.item_labels)
+    masks: list[bytearray | None] = [None] * len(db.item_labels)
+    for item in rdb.order.items:
+        shares[item], rests[item], masks[item] = array("d"), [], bytearray((db.size + 7) // 8)
     slots = maxlen - 1
-    source = (rdb, maxlen)
+    source = (rdb, maxlen, [])
 
-    for p, tx, ranks in rdb.kept():
+    for p, entries in rdb.kept():
         byte, bit = p >> 3, 1 << (p & 7)
-        tu, entries = tx.tu, tx.entries
+        tu = tus[p]
         top: list[float] = []
         rest = 0.0
-        for r in reversed(ranks):
-            share = entries[items[r]] * unit[r] / tu
-            shares[r].append(share)
-            rests[r].append(rest)
-            masks[r][byte] |= bit
+        first = entries[0]
+        for e in reversed(entries):
+            item = items[e]
+            share = quantities[e] * unit[item] / tu
+            shares[item].append(share)
+            rests[item].append(rest)
+            masks[item][byte] |= bit
+            if e == first:  # no entry is left to take a remainder
+                break
             if len(top) < slots:
                 top.append(share)
             elif top and share > top[-1]:
@@ -264,9 +292,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
 
     return tuple(
         PatternNode._compact(
-            (item,), shares[r], rests[r], int.from_bytes(masks[r], "little"), source
+            (item,), shares[item], rests[item], int.from_bytes(masks[item], "little"), source
         )
-        for r, item in enumerate(items)
+        for item in rdb.order.items
     )
 
 
@@ -326,7 +354,7 @@ def share_planes(node: PatternNode) -> list[int]:
     if node._columns is None:
         entries: Iterable[tuple[int, float]] = node.uo_at.items()
     else:
-        entries = zip(_positions(node.bits), node._columns[0])
+        entries = zip(_positions(node.bits, count()), node._columns[0])
     scale, low_bits = float(1 << SCALE_BITS), (1 << SCALE_BITS) - 1
     low = bytearray(node.bits.bit_length())
     high = []

@@ -9,6 +9,8 @@ CLI pins' variant inputs from a generated dataset.
 
 from __future__ import annotations
 
+from array import array
+
 from hypothesis import strategies as st
 
 from huopminer import TransactionDatabase, build_database, parse_quantity_profit
@@ -72,6 +74,26 @@ def joined_labels(db: TransactionDatabase, pattern) -> str:
 
 def results_by_label(db, results) -> dict[str, tuple[int, float]]:
     return {joined_labels(db, r.pattern): (r.sup, r.uo) for r in results}
+
+
+def database_of(transactions, utility_table, item_labels) -> TransactionDatabase:
+    """A database holding ``transactions`` as they are: their tids, their
+    ``tu``s and their entries in their order, checked against nothing."""
+    items, quantities, ends, tus = array("i"), [], array("q"), array("d")
+    for tx in transactions:
+        items.extend(tx.entries)
+        quantities.extend(tx.entries.values())
+        ends.append(len(items))
+        tus.append(tx.tu)
+    return TransactionDatabase(
+        items=items,
+        quantities=quantities,
+        ends=ends,
+        tus=tus,
+        tids=[tx.tid for tx in transactions],
+        utility_table=utility_table,
+        item_labels=item_labels,
+    )
 
 
 def transaction(db: TransactionDatabase, tid: int):

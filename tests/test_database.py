@@ -1,20 +1,21 @@
 """Database model: tu computation, support counts, ordering, revision."""
 
 import dataclasses
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_ROWS, SAMPLE_TUS, small_databases, transaction
+from helpers import SAMPLE_ROWS, SAMPLE_TUS, database_of, small_databases, transaction
 from huopminer import (
     MiningParams,
     Transaction,
-    TransactionDatabase,
     build_database,
     build_total_order,
     min_support_count,
+    parse_quantity_profit,
     revise_database,
     support_counts,
 )
@@ -134,7 +135,13 @@ def test_revision_is_a_view_of_the_database(sample_db):
     assert rdb.order is order
     assert "transactions" not in vars(rdb)
     assert rdb.transactions is rdb.transactions
-    assert [(p, tx) for p, tx, _ in rdb.kept()] == list(enumerate(sample_db.transactions))
+    assert [
+        (p, [(sample_db.items[e], sample_db.quantities[e]) for e in entries])
+        for p, entries in rdb.kept()
+    ] == [
+        (p, sorted(tx.entries.items(), key=lambda entry: order.rank[entry[0]]))
+        for p, tx in enumerate(sample_db.transactions)
+    ]
 
 
 def test_transaction_is_slotted_and_frozen():
@@ -144,6 +151,52 @@ def test_transaction_is_slotted_and_frozen():
         tx.tu = 5.0
     assert tx == Transaction(1, {0: 2}, 4.0)
     assert tx != Transaction(1, {0: 2}, 5.0)
+
+
+def test_transactions_are_a_read_only_view_of_the_columns(sample_db):
+    txs = sample_db.transactions
+    assert sample_db.transactions is txs
+    assert len(txs) == sample_db.size == len(SAMPLE_ROWS)
+    # each index builds its transaction afresh, equal to the row it came from
+    assert txs[9] == Transaction(10, {1: 3, 4: 5}, 65.0)
+    assert txs[9] is not txs[9]
+    assert txs[-1] == txs[9] and txs[-10] == txs[0]
+    for p in (10, -11):
+        with pytest.raises(IndexError):
+            txs[p]
+    with pytest.raises(TypeError):
+        txs[0] = txs[1]
+    assert list(txs) == [txs[p] for p in range(len(txs))]
+    assert [
+        (tx.tid, dict(zip(sample_db.labels_of(tx.entries), tx.entries.values()))) for tx in txs
+    ] == SAMPLE_ROWS
+    # tids 1..n are not stored
+    assert sample_db.tids == range(1, 11)
+
+
+def test_columns_hold_big_tids_and_quantities_exactly():
+    # tids past 32 bits and quantities at and past 2**63 go to the columns
+    # as the ints they are, whichever loader reads them
+    rows = [(k * 10**12, {"a": 2**63 + k, "b": 2**64 * k}) for k in (1, 2, 3)]
+    db = build_database(rows, {"a": 1, "b": 2})
+    assert [(tx.tid, tx.entries) for tx in db.transactions] == [
+        (k * 10**12, {0: 2**63 + k, 1: 2**64 * k}) for k in (1, 2, 3)
+    ]
+    text = "".join(f"a:{2**63 + k} b:{2**64 * k}\n" for k in (1, 2, 3))
+    parsed = parse_quantity_profit(io.StringIO(text), io.StringIO("a 1\nb 2\n"))
+    assert [tx.entries for tx in parsed.transactions] == [tx.entries for tx in db.transactions]
+    assert all(type(q) is int for tx in parsed.transactions for q in tx.entries.values())
+    # a quantity of 400 digits makes no finite utility, so no loader
+    # stores one, but the quantity column holds it all the same
+    huge = int("7" * 400)
+    db = database_of(
+        transactions=[Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0)],
+        utility_table={0: 1.0, 1: 1.0},
+        item_labels=("a", "b"),
+    )
+    assert db.transactions[0] == Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0)
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    assert rdb.transactions == (Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0),)
 
 
 def test_revision_drops_empty_transactions_not_size():
@@ -160,7 +213,7 @@ def test_revision_idempotent(sample_db):
     order = build_total_order(support_counts(sample_db), 3)
     rdb = revise_database(sample_db, order)
     again = revise_database(
-        TransactionDatabase(
+        database_of(
             transactions=rdb.transactions,
             utility_table=sample_db.utility_table,
             item_labels=sample_db.item_labels,

@@ -2,9 +2,10 @@
 
 import io as stdio
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, make_sample_db, results_by_label
@@ -21,6 +22,7 @@ from huopminer import (
     write_results,
     write_stats_csv,
 )
+from huopminer import io as hio
 from huopminer.errors import DatasetFormatError, InvalidDatabaseError, InvalidParamsError
 from huopminer.oracle import brute_force_mine
 
@@ -117,6 +119,30 @@ def test_parse_error_reports_line_number(tmp_path):
     assert "line 3" in str(err.value)
 
 
+# the line ends of str.splitlines, \r\n among them, plus text, blanks
+# and comment marks
+line_texts = st.lists(
+    st.sampled_from(["a", "b c", " ", "#", "\r\n", "\r", "\n", "\v", "\x1c", "\x85", "\u2028"]),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_texts, st.integers(1, 8), st.booleans())
+@example("a\r\nb\r\nc\r\n", 1, False)  # each cut is sought from the \r of a \r\n
+@example("a\rb\vc\x1cd\x85e\u2028#f\r", 1, True)  # no \n at all: one chunk
+def test_data_lines_are_numbered_as_splitlines_numbers_them(text, chunk, allow_comments):
+    # the reader splits the text in chunks of a few characters here, each
+    # cut just after a \n, and must yield what one splitlines() would
+    want = [
+        (no, raw.strip())
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not (allow_comments and raw.strip().startswith("#"))
+    ]
+    with mock.patch.object(hio, "_CHUNK_CHARS", chunk):
+        assert list(hio._data_lines(text, allow_comments)) == want
+
+
 def test_parse_errors_come_in_file_order():
     # line 1 overflows its transaction utility and line 3 is malformed:
     # the file streams into the database, so line 1 is reported
@@ -204,6 +230,33 @@ def test_quantity_parser_equals_the_validating_builder(files):
     assert_same_database(got, build_database(rows, profits))
 
 
+@st.composite
+def spmf_files(draw):
+    """Label-keyed rows of utilities and the same rows as spmf text, each
+    item a decimal token that may carry leading zeros."""
+    rows, lines = [], []
+    for tid in range(1, draw(st.integers(1, 8)) + 1):
+        members = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+        entries = {str(item): draw(st.floats(0.01, 1000.0) | st.integers(1, 10**6).map(float))
+                   for item in members}
+        rows.append((tid, entries))
+        tokens = " ".join(f"{'0' * draw(st.integers(0, 2))}{item}" for item in members)
+        values = " ".join(map(repr, entries.values()))
+        lines.append(f"{tokens}:{sum(entries.values())!r}:{values}")
+    return rows, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(spmf_files())
+def test_spmf_parser_equals_the_validating_builder(files):
+    # the spmf parser folds each utility into a quantity against a unit
+    # utility of 1 and stores the rows in the columns the builder fills
+    rows, text = files
+    labels = {label for _, entries in rows for label in entries}
+    got = parse_spmf_utility(stdio.StringIO(text))
+    assert_same_database(got, build_database(rows, dict.fromkeys(labels, 1.0)))
+
+
 def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
     # 5000 distinct pair texts, then the same again: the parser remembers
     # only some of them, and reads the rest afresh
@@ -214,24 +267,31 @@ def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
 
 
 def test_parsed_entries_hold_few_bytes():
-    # the parsed database sets the peak memory of a load-bound run
+    # the parsed database sets the peak memory of a load-bound run: its
+    # columns hold an item id, a quantity reference and a share of the
+    # transaction's end offset and utility per entry, and the parse builds
+    # no object per transaction.  Under CPython 3.10 to 3.13 it holds
+    # about 16.7 B per entry, and its traced peak, the text read included,
+    # is about 25 B per entry
     db = generate_synthetic(
         GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
     )
-    tx_text, profit_text = stdio.StringIO(), stdio.StringIO()
-    write_quantity_profit(db, tx_text, profit_text)
-    tx_text.seek(0)
-    profit_text.seek(0)
+    tx_out, profit_out = stdio.StringIO(), stdio.StringIO()
+    write_quantity_profit(db, tx_out, profit_out)
+    # a stream made from a string reads out a copy of it on every
+    # interpreter; one written to does so from CPython 3.12 on only
+    tx_text, profit_text = stdio.StringIO(tx_out.getvalue()), stdio.StringIO(profit_out.getvalue())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         parsed = parse_quantity_profit(tx_text, profit_text)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     entries = sum(len(tx.entries) for tx in parsed.transactions)
     assert entries == sum(len(tx.entries) for tx in db.transactions)
-    assert held / entries < 96
+    assert (held - before) / entries < 18
+    assert (peak - before) / entries < 27
 
 
 def test_generator_streams_its_rows():

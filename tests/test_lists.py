@@ -16,6 +16,7 @@ from huopminer import (
     build_total_order,
     construct,
     generate_synthetic,
+    length_upper_bound,
     min_support_count,
     revise_database,
     support_counts,
@@ -347,16 +348,34 @@ def test_columns_are_keyed_by_position_whatever_the_tids():
     _check_one_index(db, 3, min_support_count(0.2, db.size))
 
 
+def test_dicts_of_one_build_share_their_key_objects():
+    # every dict of one build takes its position keys from one table, so
+    # a kept join finds each key by identity, not by comparing equal ints
+    db = build_database(
+        [(t, {"a": 1, "b": 2, "c": 1 + t % 3}) for t in range(1, 400)], {"a": 1, "b": 2, "c": 3}
+    )
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    a, b, c = build_initial_nodes(rdb, 3)
+    ab = construct(None, a, b, 1)
+    keys = a.source[2]
+    assert keys == list(range(db.size))
+    for node in (a, b, c, ab):
+        assert all(key is keys[key] for key in node.uo_at)
+        assert all(key is keys[key] for key in node.rruo_at)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_databases(), st.integers(1, 4), st.integers(1, 2))
 def test_compact_single_item_nodes_read_as_their_dicts(db, maxlen, min_sc):
     # a fresh single-item node sums its compact columns in the order its
-    # dicts keep, so the summary read first equals the one over the dicts
-    # read afterwards, bit for bit
+    # dicts keep, so the summary and the bound read first equal the ones
+    # over the dicts read afterwards, bit for bit
     rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
     for node in build_initial_nodes(rdb, maxlen):
-        uo, rruo = node.uo, node.rruo
+        uo, rruo, bound = node.uo, node.rruo, length_upper_bound(node, min_sc)
+        assert node._columns is not None  # the bound read the compact columns
         assert uo == sum(node.uo_at.values()) / node.sup
+        assert length_upper_bound(node, min_sc) == bound
         assert rruo == sum(map(node.rruo_at.__getitem__, node.uo_at)) / node.sup
         assert node.rruo == rruo
         assert node.last_at is node.uo_at
