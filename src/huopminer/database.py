@@ -33,6 +33,10 @@ from .errors import InvalidDatabaseError, InvalidParamsError
 # A pattern is a tuple of item ids, kept sorted by the mining order.
 Pattern = tuple[int, ...]
 
+# Transactions per block of RevisedDatabase.kept(): the block's slices of
+# the item and quantity columns and its place column live at one time.
+_BLOCK_TRANSACTIONS = 4096
+
 
 @dataclass(frozen=True)
 class HUOPResult:
@@ -152,38 +156,49 @@ class RevisedDatabase:
     database: TransactionDatabase
     order: TotalOrder
 
-    def kept(self) -> Iterator[tuple[int, list[int]]]:
+    def kept(self) -> Iterator[tuple[int, list[int], array[int], list[float]]]:
         """Each original transaction that keeps a frequent item, as its
-        0-based position ``p`` in ``database.transactions`` and the indexes
-        of those items' entries in the database's columns, ascending by
-        rank.  This alone decides which transactions survive revision.
+        0-based position ``p`` in ``database.transactions``, the indexes of
+        those items' entries, ascending by rank, and the item and quantity
+        columns those indexes read.  This alone decides which transactions
+        survive revision.
 
-        A column holds each entry's place in the mining order, its item's
-        rank plus 1, or 0 for an infrequent item.  Each transaction's run of
-        entry indexes is filtered on that place and sorted by it, both in
-        C; the column lives as long as the iteration."""
+        The columns are read a block of ``_BLOCK_TRANSACTIONS`` transactions
+        at a time: each block's items and quantities are sliced once, and
+        its entries are numbered from the block's first.  A place column
+        holds each entry's place in the mining order, its item's rank plus
+        1, or 0 for an infrequent item; each transaction's run of entry
+        indexes is filtered on that place and sorted by it, both in C.  The
+        slices and the place column live only as long as their block."""
         db = self.database
         by_item = [0] * len(db.item_labels)
         for place, item in enumerate(self.order.items, start=1):
             by_item[item] = place
-        key = list(map(by_item.__getitem__, db.items)).__getitem__
-        start = 0
-        for p, end in enumerate(db.ends):
-            entries = sorted(filter(key, range(start, end)), key=key)
-            start = end
-            if entries:
-                yield p, entries
+        ends = db.ends
+        base = 0  # the block's first entry
+        for first in range(0, len(ends), _BLOCK_TRANSACTIONS):
+            block_ends = ends[first : first + _BLOCK_TRANSACTIONS]
+            items = db.items[base : block_ends[-1]]
+            quantities = db.quantities[base : block_ends[-1]]
+            key = list(map(by_item.__getitem__, items)).__getitem__
+            start = 0
+            for p, end in enumerate(block_ends, start=first):
+                end -= base
+                entries = sorted(filter(key, range(start, end)), key=key)
+                start = end
+                if entries:
+                    yield p, entries, items, quantities
+            base = block_ends[-1]
 
     @cached_property
     def transactions(self) -> tuple[Transaction, ...]:
         """The revised transactions, copied from the original ones."""
         db = self.database
-        items, quantities = db.items, db.quantities
         return tuple(
             Transaction(
                 tid=db.tids[p], entries={items[e]: quantities[e] for e in entries}, tu=db.tus[p]
             )
-            for p, entries in self.kept()
+            for p, entries, items, quantities in self.kept()
         )
 
 

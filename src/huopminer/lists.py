@@ -116,7 +116,7 @@ class PatternNode:
 
     A single-item node from :func:`build_initial_nodes` starts compact:
     instead of the three dicts it holds the scan's columns, an
-    ``array('d')`` of shares and a list of remainders, both in position
+    ``array('d')`` of shares and one of remainders, both in position
     order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
     same order as over the dicts.  The first read of ``uo_at``,
     ``last_at`` or ``rruo_at``, by a kept join or iteration, builds the
@@ -152,7 +152,7 @@ class PatternNode:
         cls,
         pattern: Pattern,
         shares: array[float],
-        rests: list[float],
+        rests: array[float],
         bits: int,
         source: tuple[RevisedDatabase, int, list[int]],
     ) -> PatternNode:
@@ -240,13 +240,13 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     shares among the items after it in the same transaction.  The scan
     reads ``rdb.kept()``, so ``rdb.transactions`` is never built, and
     walks each transaction's entries of frequent items last rank first,
-    reading the database's item, quantity and ``tu`` columns; each share
-    is ``quantity * unit / tu``, as the measures compute it.  Each entry
-    at position ``p`` goes to its item's two compact columns, the share
-    to an ``array('d')``, which keeps no float object, and the capped
-    remainder to a list, where consecutive entries share one float; it
-    sets bit ``p`` of the item's mask, a bytearray of one bit per
-    transaction.  The nodes keep these columns until a kept join or
+    reading each entry's item and quantity from the block columns that
+    ``kept()`` yields with it and ``tu`` from the database; each share is
+    ``quantity * unit / tu``, as the measures compute it.  Each entry at
+    position ``p`` goes to its item's two compact columns, the share and
+    the capped remainder, each an ``array('d')``, which keeps no float
+    object; it sets bit ``p`` of the item's mask, a bytearray of one bit
+    per transaction.  The nodes keep these columns until a kept join or
     iteration reads their dicts.  The top shares seen so far are a short
     descending list, appended to while it has room, else its smallest
     entry replaced by a larger share; it is re-sorted and re-summed,
@@ -256,17 +256,18 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
     db = rdb.database
-    items, quantities, tus, unit = db.items, db.quantities, db.tus, db.utility_table
+    tus, unit = db.tus, db.utility_table
     # each frequent item's columns, indexed by item id
     shares: list[array[float] | None] = [None] * len(db.item_labels)
-    rests: list[list[float] | None] = [None] * len(db.item_labels)
+    rests: list[array[float] | None] = [None] * len(db.item_labels)
     masks: list[bytearray | None] = [None] * len(db.item_labels)
     for item in rdb.order.items:
-        shares[item], rests[item], masks[item] = array("d"), [], bytearray((db.size + 7) // 8)
+        shares[item], rests[item] = array("d"), array("d")
+        masks[item] = bytearray((db.size + 7) // 8)
     slots = maxlen - 1
     source = (rdb, maxlen, [])
 
-    for p, entries in rdb.kept():
+    for p, entries, items, quantities in rdb.kept():
         byte, bit = p >> 3, 1 << (p & 7)
         tu = tus[p]
         top: list[float] = []

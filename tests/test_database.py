@@ -136,8 +136,8 @@ def test_revision_is_a_view_of_the_database(sample_db):
     assert "transactions" not in vars(rdb)
     assert rdb.transactions is rdb.transactions
     assert [
-        (p, [(sample_db.items[e], sample_db.quantities[e]) for e in entries])
-        for p, entries in rdb.kept()
+        (p, [(items[e], quantities[e]) for e in entries])
+        for p, entries, items, quantities in rdb.kept()
     ] == [
         (p, sorted(tx.entries.items(), key=lambda entry: order.rank[entry[0]]))
         for p, tx in enumerate(sample_db.transactions)

@@ -266,16 +266,14 @@ def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
     assert_same_database(got, build_database(rows, {"a": 3.0, "b": 0.7, "c": 2.0}))
 
 
-def test_parsed_entries_hold_few_bytes():
+def test_parsed_entries_hold_few_bytes(scaled_sparse_db):
     # the parsed database sets the peak memory of a load-bound run: its
     # columns hold an item id, a quantity reference and a share of the
     # transaction's end offset and utility per entry, and the parse builds
     # no object per transaction.  Under CPython 3.10 to 3.13 it holds
     # about 16.7 B per entry, and its traced peak, the text read included,
     # is about 25 B per entry
-    db = generate_synthetic(
-        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
-    )
+    db = scaled_sparse_db
     tx_out, profit_out = stdio.StringIO(), stdio.StringIO()
     write_quantity_profit(db, tx_out, profit_out)
     # a stream made from a string reads out a copy of it on every
@@ -310,13 +308,11 @@ def test_generator_streams_its_rows():
     assert peak - before <= 1.2 * (held - before)
 
 
-def test_spmf_parse_keeps_no_list_of_lines():
+def test_spmf_parse_keeps_no_list_of_lines(scaled_sparse_db):
     # the text is read once and its lines are split twice, once for the
     # vocabulary and once for the rows, so no (number, line) list lives
     # beside the database while it is built
-    db = generate_synthetic(
-        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
-    )
+    db = scaled_sparse_db
     source = stdio.StringIO("".join(
         f"{' '.join(db.item_labels[i] for i in tx.entries)}:{tx.tu!r}:"
         f"{' '.join(repr(q * db.utility_table[i]) for i, q in tx.entries.items())}\n"

@@ -1,26 +1,29 @@
 """Occupancy-list structures: initial build, joins, early aborts, and
 agreement with the direct-scan measures."""
 
+import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ids_of, small_databases
 from huopminer import (
-    GeneratorSpec,
+    MiningParams,
     build_database,
     build_initial_nodes,
     build_total_order,
     construct,
-    generate_synthetic,
     length_upper_bound,
     min_support_count,
+    mine,
     revise_database,
     support_counts,
 )
+from huopminer import database as hdb
 from huopminer.errors import InvalidParamsError
 from huopminer.lists import SCALE_BITS, LeafGate, PatternNode, share_planes
 from huopminer.measures import (
@@ -98,6 +101,57 @@ def test_initial_bits_number_database_positions():
     assert nodes["a"].bits == 0b101
     assert nodes["b"].bits == 0b101
     assert list(nodes["a"].uo_at) == [0, 2]
+
+
+def _scan_and_mine(db, alpha, maxlen):
+    """What the scan and the walk give, compared exactly: the node columns,
+    masks and dicts, the revised transactions, and mine's results, bound
+    log and counters but its runtime."""
+    rdb = revise_database(db, build_total_order(support_counts(db), min_support_count(alpha, db.size)))
+    nodes = build_initial_nodes(rdb, maxlen)
+    columns = [(n.pattern, [list(c) for c in n._columns], n.bits) for n in nodes]
+    dicts = [(n.uo_at, n.rruo_at) for n in nodes]
+    log = []
+    results, stats = mine(db, MiningParams(alpha, 0.2, 1, maxlen), bound_log=log)
+    counters = dataclasses.asdict(stats)
+    del counters["runtime_ms"]
+    return (
+        columns,
+        dicts,
+        rdb.transactions,
+        [(r.pattern, r.sup, r.uo.hex()) for r in results],
+        [(pattern, bound.hex()) for pattern, bound in log],
+        counters,
+    )
+
+
+# the transactions at positions 0, 2, 3 and 7 hold only infrequent items:
+# with blocks of 3 they start the first block, end it, start the second
+# and end the last, partial one
+_EDGES = build_database(
+    [(1, {"z": 1}), (2, {"a": 1, "b": 2}), (3, {"y": 1}), (4, {"x": 2}),
+     (5, {"a": 2, "b": 1, "c": 3}), (6, {"a": 1, "c": 1}), (7, {"b": 4, "c": 1}), (8, {"w": 1})],
+    {"a": 3, "b": 1, "c": 2, "w": 1, "x": 1, "y": 1, "z": 1},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_databases(max_transactions=20),
+    st.integers(1, 8),
+    st.sampled_from([0.1, 0.25, 0.4, 0.6]),
+    st.integers(1, 4),
+)
+@example(_EDGES, 3, 0.25, 3)
+@example(_EDGES, 1, 0.25, 2)
+def test_scan_blocks_change_nothing(db, block, alpha, maxlen):
+    # kept() reads the columns a block of transactions at a time, with
+    # entries numbered from the block's first; blocks of 1 to 8 must give
+    # exactly what one block larger than the database gives
+    with mock.patch.object(hdb, "_BLOCK_TRANSACTIONS", db.size + 1):
+        want = _scan_and_mine(db, alpha, maxlen)
+    with mock.patch.object(hdb, "_BLOCK_TRANSACTIONS", block):
+        assert _scan_and_mine(db, alpha, maxlen) == want
 
 
 def test_tuple_shares_match_direct_scan(sample_db, rdb, nodes):
@@ -402,36 +456,35 @@ def test_compact_single_item_nodes_read_as_their_dicts(db, maxlen, min_sc):
     walk(list(nodes), maxlen - 1)
 
 
-def test_initial_nodes_hold_few_bytes_per_entry():
+def test_initial_nodes_hold_few_bytes_per_entry(scaled_sparse_db):
     # the sparse-wide shape scaled down: the compact single-item columns,
-    # shares and remainders only, hold about 36 B per revised entry under
-    # CPython 3.10 to 3.13, the README's figure; after the parse, these
-    # nodes set the peak
-    db = generate_synthetic(
-        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
-    )
+    # an array('d') of shares and one of remainders, hold about 22.5 B per
+    # revised entry under CPython 3.10 to 3.13, the README's figure.  The
+    # scan reads the database a block of transactions at a time, so its
+    # traced peak, about 35.7 B per entry, is the nodes plus one block's
+    # slices and place column; after the parse, the scan sets the peak
+    db = scaled_sparse_db
     min_sc = min_support_count(0.025, db.size)
     rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         nodes = build_initial_nodes(rdb, 3)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     entries = sum(n.sup for n in nodes)
     assert entries == 49_167
-    assert held / entries < 40
+    assert (held - before) / entries < 23
+    assert (peak - before) / entries < 36
 
 
-def test_initial_nodes_stay_compact_while_every_join_aborts():
+def test_initial_nodes_stay_compact_while_every_join_aborts(scaled_sparse_db):
     # sparse-wide scaled down: 95 frequent items, each in about 2.6 % of
     # the transactions, so every join aborts on the masks and no node
     # builds its position-keyed dicts; those hold about 142 B per entry,
-    # the compact columns about 36 under CPython 3.10 to 3.13
-    db = generate_synthetic(
-        GeneratorSpec(n_items=200, n_transactions=20_000, avg_transaction_len=5, seed=3)
-    )
+    # the compact columns about 22.4 under CPython 3.10 to 3.13
+    db = scaled_sparse_db
     min_sc = min_support_count(0.025, db.size)
     rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
     tracemalloc.start()
@@ -447,7 +500,7 @@ def test_initial_nodes_stay_compact_while_every_join_aborts():
     finally:
         tracemalloc.stop()
     assert aborted == len(nodes) * (len(nodes) - 1) // 2 > 0
-    assert held / sum(n.sup for n in nodes) < 48
+    assert held / sum(n.sup for n in nodes) < 23
 
 
 def _plane_weights(planes, position):
