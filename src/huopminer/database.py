@@ -37,6 +37,10 @@ Pattern = tuple[int, ...]
 # the item and quantity columns and its place column live at one time.
 _BLOCK_TRANSACTIONS = 4096
 
+# Entries _columns() buffers in two lists before it stores them, about
+# 20 kB: a fixed cost beside the columns, whatever the rows' lengths.
+_BLOCK_ENTRIES = 1024
+
 
 @dataclass(frozen=True)
 class HUOPResult:
@@ -70,14 +74,15 @@ class TransactionDatabase:
     (0 for the first) up to ``ends[p]``: entry ``e`` is item ``items[e]``
     with quantity ``quantities[e]``, in the order its row listed them.
     ``tus[p]`` is its utility and ``tids[p]`` its id, a ``range`` when the
-    ids are ``1..n``.  ``quantities`` is a list, so that ints of any size,
-    ``math.inf`` and spmf's float utilities all fit.  ``item_labels[i]``
-    is the external label of item id ``i``.  :attr:`transactions` reads
-    the columns as a sequence of :class:`Transaction`.
+    ids are ``1..n``.  ``items`` and ``quantities`` are as narrow as their
+    values allow, down to one byte per entry, and read back exactly: see
+    :func:`_columns`.  ``item_labels[i]`` is the external label of item id
+    ``i``.  :attr:`transactions` reads the columns as a sequence of
+    :class:`Transaction`.
     """
 
     items: array[int]
-    quantities: list[float]
+    quantities: array[int] | list[float]
     ends: array[int]
     tus: array[float]
     tids: Sequence[int]
@@ -156,7 +161,7 @@ class RevisedDatabase:
     database: TransactionDatabase
     order: TotalOrder
 
-    def kept(self) -> Iterator[tuple[int, list[int], array[int], list[float]]]:
+    def kept(self) -> Iterator[tuple[int, list[int], array[int], array[int] | list[float]]]:
         """Each original transaction that keeps a frequent item, as its
         0-based position ``p`` in ``database.transactions``, the indexes of
         those items' entries, ascending by rank, and the item and quantity
@@ -274,26 +279,68 @@ def _columns(
     one place every loader stores its transactions.  Each row's utility is
     checked as the row arrives, so errors stay in file order: it sums float
     products of positive numbers, which can overflow to infinity or
-    underflow to 0.  A row's dict goes to the columns in one extend each;
-    tids are stored only once one is not its 1-based position."""
-    items, quantities, ends, tus = array("i"), [], array("q"), array("d")
+    underflow to 0.  Tids are stored only once one is not its 1-based
+    position.
+
+    Each per-entry column is stored at the narrowest width that holds it
+    exactly.  Item ids take ``array('B')``, ``'H'`` or ``'i'``, chosen from
+    the number of labels.  Quantities start in ``array('B')``, widen once
+    to ``array('q')`` at the first int past 255 and to a list at anything
+    ``'q'`` cannot hold: an int past 2**63 - 1, a float such as
+    ``math.inf`` or an spmf utility, a Fraction.  Reading an entry back
+    gives a number equal to the one stored, of its type; anything else
+    that ``'q'`` takes as an integer, such as ``True``, comes back as the
+    int it equals.  The rows' entries
+    are buffered in lists and stored once ``_BLOCK_ENTRIES`` have come, as
+    ``array.fromlist`` stores a list faster than ``extend`` stores a row,
+    and leaves the column as it was when a value does not fit."""
+    n = len(labels)
+    items = array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i")
+    quantities: array[int] | list[float] = array("B")
+    ends, tus = array("q"), array("d")
     tids: list[int] | range | None = None
+    item_block: list[int] = []
+    qty_block: list[float] = []
     for tid, by_id, tu in rows:
         if tu == math.inf:  # a product past the float range, or an int beyond it
             raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
         if tu == 0:  # products below the least positive float; shares divide by tu
             raise InvalidDatabaseError(f"utility of transaction {tid} underflows to 0")
-        items.extend(by_id)
-        quantities.extend(by_id.values())
-        ends.append(len(items))
+        item_block.extend(by_id)
+        qty_block.extend(by_id.values())
+        ends.append(len(items) + len(item_block))
         tus.append(tu)
         if tids is not None:
             tids.append(tid)
         elif tid != len(tus):
             tids = [*range(1, len(tus)), tid]
+        if len(item_block) >= _BLOCK_ENTRIES:
+            items.fromlist(item_block)
+            quantities = _stored(quantities, qty_block)
+            item_block, qty_block = [], []
+    items.fromlist(item_block)
+    quantities = _stored(quantities, qty_block)
     if tids is None:
         tids = range(1, len(tus) + 1)
     return TransactionDatabase(items, quantities, ends, tus, tids, table, labels)
+
+
+def _stored(
+    column: array[int] | list[float], values: list[float]
+) -> array[int] | list[float]:
+    """``column`` with ``values`` appended, widened from ``array('B')`` to
+    ``array('q')`` to a list as far as they need; see :func:`_columns`."""
+    if isinstance(column, list):
+        column.extend(values)
+        return column
+    try:
+        column.fromlist(values)
+        return column
+    except (OverflowError, TypeError):  # the column is left as it was
+        if column.typecode == "B":
+            return _stored(array("q", column), values)
+        shared: dict[int, int] = {}  # equal ints become one object, not one per entry
+        return _stored([shared.setdefault(q, q) for q in column], values)
 
 
 def build_database(

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,15 @@ from huopminer import (
     Transaction,
     build_database,
     build_total_order,
+    database,
+    mine,
     min_support_count,
     parse_quantity_profit,
     revise_database,
     support_counts,
 )
 from huopminer.errors import InvalidDatabaseError, InvalidParamsError
+from huopminer.oracle import brute_force_mine
 
 
 def test_tu_per_transaction(sample_db):
@@ -197,6 +201,81 @@ def test_columns_hold_big_tids_and_quantities_exactly():
     assert db.transactions[0] == Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0)
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     assert rdb.transactions == (Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0),)
+
+
+def assert_entries_are_the_rows(db, rows):
+    # each entry in its row's order, equal to its input and of its type
+    def typed(entries):
+        return [(label, q, type(q)) for label, q in entries]
+
+    assert [
+        (tx.tid, typed((db.item_labels[i], q) for i, q in tx.entries.items()))
+        for tx in db.transactions
+    ] == [(tid, typed(entries.items())) for tid, entries in rows]
+
+
+def qty_text(rows) -> str:
+    return "".join(
+        " ".join(f"{label}:{q}" for label, q in entries.items()) + "\n" for _, entries in rows
+    )
+
+
+@pytest.mark.parametrize("wide", [300, 2**63 + 1, 2**64, Fraction(3, 2), 2.5])
+def test_quantity_column_widens_in_the_middle_of_a_row(wide):
+    # the row's first entry fits the narrow column and its second does
+    # not: the column widens, and neither entry is stored twice
+    rows = [(1, {"a": 1, "b": wide}), (2, {"a": 7, "b": 300})]
+    assert_entries_are_the_rows(build_database(rows, {"a": 1, "b": 1}), rows)
+    if type(wide) is int:  # a quantity in the text is decimal digits
+        parsed = parse_quantity_profit(io.StringIO(qty_text(rows)), io.StringIO("a 1\nb 1\n"))
+        assert_entries_are_the_rows(parsed, rows)
+
+
+@pytest.mark.parametrize("wide", [300, 2**63 + 1])
+def test_quantity_column_widens_at_a_block_edge(wide):
+    # one-entry rows fill whole blocks of buffered entries up to row 4096;
+    # the first wide quantity is in row 4097, mid-row, in the next block
+    assert 4096 % database._BLOCK_ENTRIES == 0
+    rows = [(tid, {"b": 1 + tid % 5}) for tid in range(1, 4097)]
+    rows.append((4097, {"a": 2, "b": wide, "c": 4}))
+    rows += [(tid, {"a": 1 + tid % 255, "c": 3}) for tid in range(4098, 5001)]
+    assert_entries_are_the_rows(build_database(rows, {"a": 1, "b": 1, "c": 2}), rows)
+    parsed = parse_quantity_profit(io.StringIO(qty_text(rows)), io.StringIO("a 1\nb 1\nc 2\n"))
+    assert_entries_are_the_rows(parsed, rows)
+
+
+def test_quantities_widened_to_a_list_share_equal_ints():
+    # the ints array('q') held go to the list one object per value, not
+    # one per entry as a plain copy would make them
+    size = 2 * database._BLOCK_ENTRIES
+    rows = [(tid, {"a": 1000 + tid % 3}) for tid in range(1, size + 1)]
+    db = build_database([*rows, (size + 1, {"a": 2**64})], {"a": 1})
+    assert db.quantities[:size] == [q for _, entries in rows for q in entries.values()]
+    assert len({id(q) for q in db.quantities[:size]}) == 3
+
+
+@pytest.mark.parametrize("labels", [256, 257, 65_536, 65_537])
+def test_item_column_at_its_width_edges(labels):
+    # ids one byte wide up to 256 labels, two up to 65 536, four beyond;
+    # the highest id is listed, and every reader sees the labels' rows
+    top, mid = str(labels - 1), str(labels // 2)
+    rows = [
+        (1, {top: 2, "0": 1}),
+        (2, {"0": 3, mid: 1, top: 4}),
+        (3, {mid: 5, top: 1}),
+        (4, {"0": 2, mid: 2}),
+    ]
+    db = build_database(rows, {str(k): 1 + k % 7 for k in range(labels)})
+    assert db.items.itemsize == (1 if labels <= 256 else 2 if labels <= 65_536 else 4)
+    assert_entries_are_the_rows(db, rows)
+    assert {db.item_labels[i]: c for i, c in support_counts(db).items()} == {top: 3, "0": 3, mid: 3}
+    params = MiningParams(0.5, 0.1, 1, 3)
+    got, _ = mine(db, params)
+    reference = brute_force_mine(db, params)
+    assert {db.labels_of(r.pattern) for r in got} >= {(top,), ("0",), (mid,)}
+    assert [(r.pattern, r.sup) for r in got] == [(r.pattern, r.sup) for r in reference]
+    for g, w in zip(got, reference):
+        assert g.uo == pytest.approx(w.uo, abs=1e-9)
 
 
 def test_revision_drops_empty_transactions_not_size():

@@ -268,11 +268,11 @@ def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
 
 def test_parsed_entries_hold_few_bytes(scaled_sparse_db):
     # the parsed database sets the peak memory of a load-bound run: its
-    # columns hold an item id, a quantity reference and a share of the
-    # transaction's end offset and utility per entry, and the parse builds
-    # no object per transaction.  Under CPython 3.10 to 3.13 it holds
-    # about 16.7 B per entry, and its traced peak, the text read included,
-    # is about 25 B per entry
+    # columns hold a one-byte item id, a one-byte quantity and a share of
+    # the transaction's end offset and utility per entry, and the parse
+    # builds no object per transaction.  Under CPython 3.10 to 3.13 it
+    # holds about 6.4 B per entry, and its traced peak, the text read
+    # included, is about 15 B per entry
     db = scaled_sparse_db
     tx_out, profit_out = stdio.StringIO(), stdio.StringIO()
     write_quantity_profit(db, tx_out, profit_out)
@@ -288,8 +288,8 @@ def test_parsed_entries_hold_few_bytes(scaled_sparse_db):
         tracemalloc.stop()
     entries = sum(len(tx.entries) for tx in parsed.transactions)
     assert entries == sum(len(tx.entries) for tx in db.transactions)
-    assert (held - before) / entries < 18
-    assert (peak - before) / entries < 27
+    assert (held - before) / entries < 7
+    assert (peak - before) / entries < 16
 
 
 def test_generator_streams_its_rows():
