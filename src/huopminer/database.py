@@ -283,19 +283,19 @@ def _columns(
     position.
 
     Each per-entry column is stored at the narrowest width that holds it
-    exactly.  Item ids take ``array('B')``, ``'H'`` or ``'i'``, chosen from
-    the number of labels.  Quantities start in ``array('B')``, widen once
-    to ``array('q')`` at the first int past 255 and to a list at anything
-    ``'q'`` cannot hold: an int past 2**63 - 1, a float such as
-    ``math.inf`` or an spmf utility, a Fraction.  Reading an entry back
-    gives a number equal to the one stored, of its type; anything else
-    that ``'q'`` takes as an integer, such as ``True``, comes back as the
-    int it equals.  The rows' entries
-    are buffered in lists and stored once ``_BLOCK_ENTRIES`` have come, as
+    exactly.  Item ids take ``array('B')`` up to 256 labels and ``'i'``
+    beyond.  Quantities start in ``array('B')`` and widen once to a list
+    at anything it cannot hold: an int past 255, a float such as an spmf
+    utility, a Fraction.  An infinite quantity never reaches a column:
+    its row's utility is not finite, and the row is rejected.  Reading an
+    entry back gives a number equal to the one stored, of its type;
+    anything else that ``'B'`` takes as an integer, such as ``True``,
+    comes back as the int it equals.  The rows' entries are buffered in
+    lists and stored once ``_BLOCK_ENTRIES`` have come, as
     ``array.fromlist`` stores a list faster than ``extend`` stores a row,
     and leaves the column as it was when a value does not fit."""
     n = len(labels)
-    items = array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i")
+    items = array("B" if n <= 1 << 8 else "i")
     quantities: array[int] | list[float] = array("B")
     ends, tus = array("q"), array("d")
     tids: list[int] | range | None = None
@@ -329,18 +329,15 @@ def _stored(
     column: array[int] | list[float], values: list[float]
 ) -> array[int] | list[float]:
     """``column`` with ``values`` appended, widened from ``array('B')`` to
-    ``array('q')`` to a list as far as they need; see :func:`_columns`."""
-    if isinstance(column, list):
-        column.extend(values)
-        return column
-    try:
-        column.fromlist(values)
-        return column
-    except (OverflowError, TypeError):  # the column is left as it was
-        if column.typecode == "B":
-            return _stored(array("q", column), values)
-        shared: dict[int, int] = {}  # equal ints become one object, not one per entry
-        return _stored([shared.setdefault(q, q) for q in column], values)
+    a list if they need it; see :func:`_columns`."""
+    if isinstance(column, array):
+        try:
+            column.fromlist(values)
+            return column
+        except (OverflowError, TypeError):  # the column is left as it was
+            column = column.tolist()  # ints up to 255, each one cached object
+    column.extend(values)
+    return column
 
 
 def build_database(

@@ -244,19 +244,9 @@ def test_quantity_column_widens_at_a_block_edge(wide):
     assert_entries_are_the_rows(parsed, rows)
 
 
-def test_quantities_widened_to_a_list_share_equal_ints():
-    # the ints array('q') held go to the list one object per value, not
-    # one per entry as a plain copy would make them
-    size = 2 * database._BLOCK_ENTRIES
-    rows = [(tid, {"a": 1000 + tid % 3}) for tid in range(1, size + 1)]
-    db = build_database([*rows, (size + 1, {"a": 2**64})], {"a": 1})
-    assert db.quantities[:size] == [q for _, entries in rows for q in entries.values()]
-    assert len({id(q) for q in db.quantities[:size]}) == 3
-
-
-@pytest.mark.parametrize("labels", [256, 257, 65_536, 65_537])
+@pytest.mark.parametrize("labels", [256, 257])
 def test_item_column_at_its_width_edges(labels):
-    # ids one byte wide up to 256 labels, two up to 65 536, four beyond;
+    # ids one byte wide up to 256 labels, four beyond;
     # the highest id is listed, and every reader sees the labels' rows
     top, mid = str(labels - 1), str(labels // 2)
     rows = [
@@ -266,7 +256,7 @@ def test_item_column_at_its_width_edges(labels):
         (4, {"0": 2, mid: 2}),
     ]
     db = build_database(rows, {str(k): 1 + k % 7 for k in range(labels)})
-    assert db.items.itemsize == (1 if labels <= 256 else 2 if labels <= 65_536 else 4)
+    assert db.items.itemsize == (1 if labels <= 256 else 4)
     assert_entries_are_the_rows(db, rows)
     assert {db.item_labels[i]: c for i, c in support_counts(db).items()} == {top: 3, "0": 3, mid: 3}
     params = MiningParams(0.5, 0.1, 1, 3)
