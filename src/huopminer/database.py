@@ -105,8 +105,9 @@ class TransactionDatabase:
 
 class _Transactions(Sequence[Transaction]):
     """The transactions of a :class:`TransactionDatabase`, read from its
-    columns: ``len`` is O(1), and indexing or iterating builds each
-    :class:`Transaction` afresh."""
+    columns: ``len`` is O(1), and indexing builds each
+    :class:`Transaction` afresh; iteration indexes ``0, 1, ...`` in
+    turn."""
 
     __slots__ = ("_db",)
 
@@ -118,23 +119,11 @@ class _Transactions(Sequence[Transaction]):
 
     def __getitem__(self, p: int) -> Transaction:
         db = self._db
-        n = len(db.tus)
-        if p < 0:
-            p += n
-        if not 0 <= p < n:
-            raise IndexError("transaction index out of range")
+        p = range(len(db.tus))[p]  # a negative index counts from the end
         start, end = db.ends[p - 1] if p else 0, db.ends[p]
         return Transaction(
             db.tids[p], dict(zip(db.items[start:end], db.quantities[start:end])), db.tus[p]
         )
-
-    def __iter__(self) -> Iterator[Transaction]:
-        db = self._db
-        items, quantities = db.items, db.quantities
-        start = 0
-        for tid, end, tu in zip(db.tids, db.ends, db.tus):
-            yield Transaction(tid, dict(zip(items[start:end], quantities[start:end])), tu)
-            start = end
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,14 @@ Nodes are built in two places, both as :class:`PatternNode`:
   builds the single-item nodes; no revised copy of the database is
   made.  A single-item node keeps the scan's compact columns, its
   shares and remainders in position order, and takes ``sup``, ``uo``
-  and ``rruo`` from them; :func:`length_upper_bound` sorts them as they
-  are.  It builds its dicts, keyed by the set bits of its mask, and
-  drops the compact columns, only when a kept join or iteration first
-  reads them; on a wide, sparse database whose joins all abort on the
-  masks, no dict is ever built.  The dicts of one build all take their
-  keys from one table of position ints, ``keys``, filled at the first
-  such read, so that a join finds each key by identity.
+  and ``rruo`` from them; :func:`length_upper_bound`,
+  :func:`share_planes` and iteration read them as they are.  It builds
+  its dicts, keyed by the set bits of its mask, and drops the compact
+  columns, only when a kept join first reads them; on a wide, sparse
+  database whose joins all abort on the masks, no dict is ever built.
+  The dicts of one build all take their keys from one table of position
+  ints, ``keys``, filled at the first such read, so that a join finds
+  each key by identity.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order) by extending the left
   operand with one item.  A pattern's share in a transaction is the sum
@@ -87,8 +88,8 @@ def _positions(bits: int, numbers: Iterable[int]) -> Iterator[int]:
     """The set bits of ``bits``, lowest first, each taken from ``numbers``
     (``count()``, or a table of the ints themselves): the database
     positions of a mask, in the order the scan appends a single item's
-    columns."""
-    return compress(numbers, format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
+    columns.  Nothing is read from the mask before the first ``next``."""
+    yield from compress(numbers, format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
 
 
 class PatternNode:
@@ -119,9 +120,10 @@ class PatternNode:
     ``array('d')`` of shares and one of remainders, both in position
     order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
     same order as over the dicts.  The first read of ``uo_at``,
-    ``last_at`` or ``rruo_at``, by a kept join or iteration, builds the
-    dicts, keyed by the set bits of ``bits`` as taken from ``keys``, and
-    drops the columns.
+    ``last_at`` or ``rruo_at``, by a kept join, builds the dicts, keyed
+    by the set bits of ``bits`` as taken from ``keys``, and drops the
+    columns.  Everything else reads a node of either form through
+    ``_read``, which builds nothing.
     """
 
     __slots__ = (
@@ -183,12 +185,23 @@ class PatternNode:
         self._columns = None
         return getattr(self, name)
 
+    def _read(self) -> tuple[Iterable[int], Iterable[float], Iterable[float]]:
+        """The node's positions, its shares and its last item's remainders,
+        each in position order: the compact columns while the node has
+        them, else views of its dicts.  No dict is built."""
+        if self._columns is not None:
+            shares, rests = self._columns
+            return _positions(self.bits, count()), shares, rests
+        uo_at = self.uo_at
+        return uo_at.keys(), uo_at.values(), map(self.rruo_at.__getitem__, uo_at)
+
     def __len__(self) -> int:
         return self.sup
 
     def __iter__(self) -> Iterator[UOTuple]:
         rdb, maxlen, _ = self.source
-        for p, uo in self.uo_at.items():
+        positions, shares, _ = self._read()
+        for p, uo in zip(positions, shares):
             tx = rdb.database.transactions[p]
             yield UOTuple(tx.tid, uo, luo_in_transaction(self.pattern[-1:], tx, rdb, maxlen))
 
@@ -200,9 +213,7 @@ class PatternNode:
     @property
     def rruo(self) -> float:
         """Mean ``sum(luo)``: the remaining occupancy under the length cap."""
-        if self._columns is not None:
-            return sum(self._columns[1]) / self.sup
-        return sum(map(self.rruo_at.__getitem__, self.uo_at)) / self.sup
+        return sum(self._read()[2]) / self.sup
 
     @property
     def uonl(self) -> PatternNode:
@@ -225,11 +236,8 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
     transactions, so the mean of the ``min_sup_count`` largest such
     values bounds its occupancy.
     """
-    if node._columns is not None:  # the same sums, in the same order
-        values = sorted(map(add, *node._columns), reverse=True)
-    else:
-        rruo_at = node.rruo_at
-        values = sorted([uo + rruo_at[p] for p, uo in node.uo_at.items()], reverse=True)
+    _, shares, rests = node._read()
+    values = sorted(map(add, shares, rests), reverse=True)
     return sum(values[:min_sup_count]) / min_sup_count
 
 
@@ -246,12 +254,12 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     position ``p`` goes to its item's two compact columns, the share and
     the capped remainder, each an ``array('d')``, which keeps no float
     object; it sets bit ``p`` of the item's mask, a bytearray of one bit
-    per transaction.  The nodes keep these columns until a kept join or
-    iteration reads their dicts.  The top shares seen so far are a short
-    descending list, appended to while it has room, else its smallest
-    entry replaced by a larger share; it is re-sorted and re-summed,
-    largest first, only when it changes, and not at all after the entry
-    walked last, whose remainder is already taken.
+    per transaction.  The nodes keep these columns until a kept join
+    reads their dicts.  The top shares seen so far are a short descending
+    list, appended to while it has room, else its smallest entry replaced
+    by a larger share; it is re-sorted and re-summed, largest first, only
+    when it changes, and not at all after the entry walked last, whose
+    remainder is already taken.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
@@ -352,14 +360,11 @@ def share_planes(node: PatternNode) -> list[int]:
     2**SCALE_BITS)`` is set at position ``p``; a share of 1.0, the whole
     of a one-item transaction, sets plane ``SCALE_BITS`` alone.
     """
-    if node._columns is None:
-        entries: Iterable[tuple[int, float]] = node.uo_at.items()
-    else:
-        entries = zip(_positions(node.bits, count()), node._columns[0])
+    positions, shares, _ = node._read()
     scale, low_bits = float(1 << SCALE_BITS), (1 << SCALE_BITS) - 1
     low = bytearray(node.bits.bit_length())
     high = []
-    for p, share in entries:
+    for p, share in zip(positions, shares):
         w = ceil(share * scale)
         if w > low_bits:  # a share of 1.0 or more: rare
             high.append((p, w >> SCALE_BITS))

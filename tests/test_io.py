@@ -311,7 +311,9 @@ def test_generator_streams_its_rows():
 def test_spmf_parse_keeps_no_list_of_lines(scaled_sparse_db):
     # the text is read once and its lines are split twice, once for the
     # vocabulary and once for the rows, so no (number, line) list lives
-    # beside the database while it is built
+    # beside the database while it is built.  Under CPython 3.10 to 3.13
+    # the traced peak is 48.4-48.6 B per entry, and 37.3-37.4 B are held
+    # after; a parse that holds its list of lines peaks near 85 B
     db = scaled_sparse_db
     source = stdio.StringIO("".join(
         f"{' '.join(db.item_labels[i] for i in tx.entries)}:{tx.tu!r}:"
@@ -327,6 +329,7 @@ def test_spmf_parse_keeps_no_list_of_lines(scaled_sparse_db):
         tracemalloc.stop()
     assert [tx.tu for tx in parsed.transactions] == [tx.tu for tx in db.transactions]
     assert peak - before <= 1.32 * (held - before)
+    assert (peak - before) / len(parsed.items) < 49
 
 
 def test_unused_profit_entries_change_no_answer(tmp_path):

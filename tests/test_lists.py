@@ -421,15 +421,21 @@ def test_dicts_of_one_build_share_their_key_objects():
 @settings(max_examples=60, deadline=None)
 @given(small_databases(), st.integers(1, 4), st.integers(1, 2))
 def test_compact_single_item_nodes_read_as_their_dicts(db, maxlen, min_sc):
-    # a fresh single-item node sums its compact columns in the order its
-    # dicts keep, so the summary and the bound read first equal the ones
-    # over the dicts read afterwards, bit for bit
+    # a fresh single-item node reads its compact columns in the order its
+    # dicts keep, so the summary, the bound, the planes and the tuples read
+    # first equal the ones over the dicts read afterwards, bit for bit;
+    # only the dicts' first read builds them
     rdb = revise_database(db, build_total_order(support_counts(db), min_sc))
     for node in build_initial_nodes(rdb, maxlen):
         uo, rruo, bound = node.uo, node.rruo, length_upper_bound(node, min_sc)
-        assert node._columns is not None  # the bound read the compact columns
+        planes = share_planes(node)
+        tuples = [(t.tid, t.uo.hex(), t.luo) for t in node]
+        assert node._columns is not None  # none of these built the dicts
         assert uo == sum(node.uo_at.values()) / node.sup
+        assert node._columns is None
+        assert [(t.tid, t.uo.hex(), t.luo) for t in node] == tuples
         assert length_upper_bound(node, min_sc) == bound
+        assert share_planes(node) == planes
         assert rruo == sum(map(node.rruo_at.__getitem__, node.uo_at)) / node.sup
         assert node.rruo == rruo
         assert node.last_at is node.uo_at

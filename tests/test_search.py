@@ -3,6 +3,7 @@
 import inspect
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,27 @@ def test_huge_sparse_tids_mine_like_the_reference():
         assert g.uo == pytest.approx(w.uo, abs=1e-9)
     assert max(len(r.pattern) for r in got) == 3
     assert stats.constructions > stats.early_aborts
+
+
+def test_a_tie_at_minuo_is_decided_as_by_the_oracle():
+    # "efb" occurs in the third row alone, where its exact occupancy is
+    # (2 + 3 + 1) / 9 = 2/3, between the floats below and above.  The
+    # leaf's own float uo rounds to above, but the bound of its prefix "e",
+    # below, prunes it at a minuo of above, where the oracle's uo, below,
+    # misses too: both report the pattern set that exact occupancy defines
+    rows = [(1, dict.fromkeys("abcd", 1)), (2, {"a": 1}), (3, dict.fromkeys("abcdef", 1)),
+            (4, {"a": 1}), (5, {"a": 1})]
+    db = build_database(rows, {"a": 1, "b": 1, "c": 1, "d": 1, "e": 2, "f": 3})
+    below, above = 0.6666666666666666, 0.6666666666666667
+    assert Fraction(below) < Fraction(2, 3) < Fraction(above)
+    for beta, reported in ((1e-9, True), (below, True), (above, False)):
+        params = MiningParams(0.1, beta, 1, 3)
+        got = results_by_label(db, mine(db, params)[0])
+        want = results_by_label(db, brute_force_mine(db, params))
+        assert {k: sup for k, (sup, _) in got.items()} == {k: sup for k, (sup, _) in want.items()}
+        assert ("efb" in got) is reported
+        if reported:
+            assert (got["efb"][1], want["efb"][1]) == (above, below)
 
 
 @settings(max_examples=25, deadline=None)
