@@ -106,8 +106,8 @@ class TransactionDatabase:
 class _Transactions(Sequence[Transaction]):
     """The transactions of a :class:`TransactionDatabase`, read from its
     columns: ``len`` is O(1), and indexing builds each
-    :class:`Transaction` afresh; iteration indexes ``0, 1, ...`` in
-    turn."""
+    :class:`Transaction` afresh, a slice a tuple of them; iteration
+    indexes ``0, 1, ...`` in turn."""
 
     __slots__ = ("_db",)
 
@@ -117,9 +117,11 @@ class _Transactions(Sequence[Transaction]):
     def __len__(self) -> int:
         return len(self._db.tus)
 
-    def __getitem__(self, p: int) -> Transaction:
+    def __getitem__(self, p: int | slice) -> Transaction | tuple[Transaction, ...]:
         db = self._db
         p = range(len(db.tus))[p]  # a negative index counts from the end
+        if isinstance(p, range):  # the positions of a slice
+            return tuple(map(self.__getitem__, p))
         start, end = db.ends[p - 1] if p else 0, db.ends[p]
         return Transaction(
             db.tids[p], dict(zip(db.items[start:end], db.quantities[start:end])), db.tus[p]
@@ -334,7 +336,7 @@ def build_database(
     utilities: Mapping[str, float],
 ) -> TransactionDatabase:
     """Assemble a database from label-keyed ``(tid, {label: quantity})``
-    rows, any iterable: the spmf parser and the generator stream them.
+    rows, any iterable: the generator streams them, as library callers may.
 
     Every entry of ``utilities`` is an item, checked first: its unit
     utility must be positive and finite, and its label, coerced to a

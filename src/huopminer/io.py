@@ -104,24 +104,25 @@ def _float(text: str, what: str, no: int) -> float:
 def parse_spmf_utility(source) -> TransactionDatabase:
     """Parse utility-list lines into a database.
 
-    The text is read once.  A first pass maps each decimal token before a
-    line's first colon to the integer it spells; a second checks and
-    converts the lines one at a time, in file order.  Rejects malformed
-    lines, duplicate items within a line, non-positive or non-finite
-    utilities, and lines whose declared TU is not within ``TU_TOLERANCE``
-    of the sum of the per-item utilities, widened by the rounding error a
-    float sum of that many values can carry.
+    The text is read once.  A first pass numbers the integers that the
+    decimal tokens before each line's first colon spell, as the qty loader
+    numbers labels; a second checks each line in file order and stores it
+    in the columns.  Rejects malformed lines, duplicate items in a line,
+    non-positive or non-finite utilities, and lines whose declared TU is
+    not within ``TU_TOLERANCE`` of the sum of the per-item utilities,
+    widened by the rounding error a float sum of that many values can carry.
     """
     text = _read_text(source)
     lines = _data_lines(text, allow_comments=False)
     tokens = {token for _, line in lines for token in line.partition(":")[0].split()}
-    labels = {token: _decimal_digits(token) or "0" for token in tokens if token.isdecimal()}
-    return build_database(_spmf_rows(text, labels), dict.fromkeys(labels.values(), 1.0))
+    canonical = {token: _decimal_digits(token) or "0" for token in tokens if token.isdecimal()}
+    labels, ids, table = _number_items(dict.fromkeys(canonical.values(), 1.0))
+    return _columns(_spmf_rows(text, {t: ids[c] for t, c in canonical.items()}), table, labels)
 
 
-def _spmf_rows(text: str, labels: Mapping[str, str]) -> Iterator[tuple[int, dict[str, float]]]:
-    """The checked ``(tid, {item: utility})`` row of each data line of
-    ``text``, each item the ``labels`` entry of its token."""
+def _spmf_rows(text: str, ids: Mapping[str, int]) -> Iterator[tuple[int, dict[int, float], float]]:
+    """The checked ``(tid, {item: utility}, total)`` row of each data line:
+    each item the ``ids`` entry of its token, ``total`` summed left to right."""
     for tid, (no, line) in enumerate(_data_lines(text, allow_comments=False), start=1):
         parts = line.split(":")
         if len(parts) != 3:
@@ -133,25 +134,25 @@ def _spmf_rows(text: str, labels: Mapping[str, str]) -> Iterator[tuple[int, dict
         if len(items) != len(utilities):
             raise DatasetFormatError(f"{len(items)} items but {len(utilities)} utility values", no)
         tu = _float(parts[1], "transaction utility", no)
-        entries: dict[str, float] = {}
+        entries: dict[int, float] = {}
         total = 0.0
         for token, value_text in zip(items, utilities):
-            label = labels.get(token)
-            if label is None:
+            item = ids.get(token)
+            if item is None:
                 raise DatasetFormatError(f"item {_clip(token)!r} is not a non-negative integer", no)
-            if label in entries:
+            if item in entries:
                 raise DatasetFormatError(f"duplicate item {_clip(token)!r}", no)
             value = _float(value_text, "utility value", no)
             if not 0 < value < math.inf:
                 raise DatasetFormatError(f"utility for item {_clip(token)!r} must be positive and finite", no)
-            entries[label] = value
+            entries[item] = value
             total += value
         # the rounding slack scales with the sum, not with tu, so that an
         # infinite TU still fails; the negated test fails a nan TU too
         slack = (len(items) + 1) * sys.float_info.epsilon * total
         if not abs(total - tu) <= TU_TOLERANCE + slack:
             raise DatasetFormatError(f"declared TU {tu} but utilities sum to {total}", no)
-        yield tid, entries
+        yield tid, entries, total
 
 
 def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:

@@ -27,9 +27,9 @@ Nodes are built in two places, both as :class:`PatternNode`:
   its dicts, keyed by the set bits of its mask, and drops the compact
   columns, only when a kept join first reads them; on a wide, sparse
   database whose joins all abort on the masks, no dict is ever built.
-  The dicts of one build all take their keys from one table of position
-  ints, ``keys``, filled at the first such read, so that a join finds
-  each key by identity.
+  Every position read from a node of one build, compact or as a dict
+  key, is an int of one table, ``keys``, filled at the first read of any
+  node's positions, so that a join finds each key by identity.
 * :func:`construct` joins two sibling patterns (same prefix, the
   extending items adjacent in the mining order) by extending the left
   operand with one item.  A pattern's share in a transaction is the sum
@@ -65,7 +65,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator
 from functools import cache, reduce
-from itertools import compress, count, zip_longest
+from itertools import compress, zip_longest
 from math import ceil
 from operator import add
 from typing import NamedTuple
@@ -82,14 +82,6 @@ class UOTuple(NamedTuple):
     tid: int
     uo: float
     luo: tuple[float, ...]
-
-
-def _positions(bits: int, numbers: Iterable[int]) -> Iterator[int]:
-    """The set bits of ``bits``, lowest first, each taken from ``numbers``
-    (``count()``, or a table of the ints themselves): the database
-    positions of a mask, in the order the scan appends a single item's
-    columns.  Nothing is read from the mask before the first ``next``."""
-    yield from compress(numbers, format(bits, "b")[::-1].encode().replace(b"0", b"\0"))
 
 
 class PatternNode:
@@ -109,9 +101,9 @@ class PatternNode:
     does not occur at.  ``last_at`` is ``uo_at`` for a single item.
     ``source`` is the ``(rdb, maxlen, keys)`` triple the nodes of one
     build share: each iterated ``UOTuple`` derives its ``luo`` from
-    ``rdb`` and ``maxlen``, and ``keys`` is the list of position ints
-    their dicts take their keys from, empty until the first dicts of the
-    build are made.  A join reads a left operand's ``uo_at``; of a right
+    ``rdb`` and ``maxlen``, and ``keys`` is the table of position ints
+    that every node's positions are read from, empty until the first
+    such read.  A join reads a left operand's ``uo_at``; of a right
     one it reads the mask and what its last item shares: ``last_at``,
     ``rruo_at`` and ``source``.
 
@@ -120,10 +112,9 @@ class PatternNode:
     ``array('d')`` of shares and one of remainders, both in position
     order, from which ``sup``, ``uo`` and ``rruo`` are summed in the
     same order as over the dicts.  The first read of ``uo_at``,
-    ``last_at`` or ``rruo_at``, by a kept join, builds the dicts, keyed
-    by the set bits of ``bits`` as taken from ``keys``, and drops the
-    columns.  Everything else reads a node of either form through
-    ``_read``, which builds nothing.
+    ``last_at`` or ``rruo_at``, by a kept join, builds the dicts from
+    what ``_read`` returns and drops the columns.  Everything else reads
+    a node of either form through ``_read`` too, which builds nothing.
     """
 
     __slots__ = (
@@ -174,26 +165,31 @@ class PatternNode:
         # unset dict slots of a compact node: build them once and keep them
         if name not in ("uo_at", "last_at", "rruo_at") or self._columns is None:
             raise AttributeError(name)
-        shares, rests = self._columns
-        rdb, _, keys = self.source
-        if not keys:  # the first dicts of this build: number every position once
-            keys.extend(range(rdb.database.size))
-        # every node of one build takes its keys from the same int objects,
-        # so a join's lookups match keys by identity
-        self.uo_at = self.last_at = dict(zip(_positions(self.bits, keys), shares))
+        positions, shares, rests = self._read()
+        self.uo_at = self.last_at = dict(zip(positions, shares))
         self.rruo_at = dict(zip(self.uo_at, rests))
         self._columns = None
         return getattr(self, name)
 
     def _read(self) -> tuple[Iterable[int], Iterable[float], Iterable[float]]:
         """The node's positions, its shares and its last item's remainders,
-        each in position order: the compact columns while the node has
-        them, else views of its dicts.  No dict is built."""
+        each in position order: :meth:`_positions` and the compact columns
+        while the node has them, else views of its dicts.  No dict is built."""
         if self._columns is not None:
             shares, rests = self._columns
-            return _positions(self.bits, count()), shares, rests
+            return self._positions(), shares, rests
         uo_at = self.uo_at
         return uo_at.keys(), uo_at.values(), map(self.rruo_at.__getitem__, uo_at)
+
+    def _positions(self) -> Iterator[int]:
+        """The set bits of ``bits``, lowest first, as the scan appends a
+        single item's columns.  Each is an int of the build's ``keys``
+        table, filled at the first ``next`` of any node's positions, so
+        every dict of one build matches its keys by identity."""
+        rdb, _, keys = self.source
+        if not keys:
+            keys.extend(range(rdb.database.size))
+        yield from compress(keys, format(self.bits, "b")[::-1].encode().replace(b"0", b"\0"))
 
     def __len__(self) -> int:
         return self.sup

@@ -176,6 +176,9 @@ def test_transactions_are_a_read_only_view_of_the_columns(sample_db):
     ] == SAMPLE_ROWS
     # tids 1..n are not stored
     assert sample_db.tids == range(1, 11)
+    # a slice is the tuple of the transactions it names
+    for s in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 1)):
+        assert txs[s] == tuple(txs)[s]
 
 
 def test_columns_hold_big_tids_and_quantities_exactly():

@@ -312,7 +312,7 @@ def test_spmf_parse_keeps_no_list_of_lines(scaled_sparse_db):
     # the text is read once and its lines are split twice, once for the
     # vocabulary and once for the rows, so no (number, line) list lives
     # beside the database while it is built.  Under CPython 3.10 to 3.13
-    # the traced peak is 48.4-48.6 B per entry, and 37.3-37.4 B are held
+    # the traced peak is 48.3-48.6 B per entry, and 37.3-37.4 B are held
     # after; a parse that holds its list of lines peaks near 85 B
     db = scaled_sparse_db
     source = stdio.StringIO("".join(

@@ -410,12 +410,19 @@ def test_dicts_of_one_build_share_their_key_objects():
     )
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     a, b, c = build_initial_nodes(rdb, 3)
-    ab = construct(None, a, b, 1)
     keys = a.source[2]
+    # positions read from a node that is still compact are the table's too
+    positions = list(c._read()[0])
+    assert c._columns is not None
     assert keys == list(range(db.size))
+    assert all(p is keys[p] for p in positions)
+    ab = construct(None, a, b, 1)
     for node in (a, b, c, ab):
         assert all(key is keys[key] for key in node.uo_at)
         assert all(key is keys[key] for key in node.rruo_at)
+    # a later kept join's dicts hold the very ints read above
+    bc = construct(None, b, c, 1)
+    assert all(p is q for p, q in zip(positions, bc.uo_at, strict=True))
 
 
 @settings(max_examples=60, deadline=None)
