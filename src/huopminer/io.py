@@ -148,9 +148,9 @@ def _spmf_rows(text: str, ids: Mapping[str, int]) -> Iterator[tuple[int, dict[in
             entries[item] = value
             total += value
         # the rounding slack scales with the sum, not with tu, so that an
-        # infinite TU still fails; the negated test fails a nan TU too
+        # infinite TU or sum fails; the negated test fails a nan TU too
         slack = (len(items) + 1) * sys.float_info.epsilon * total
-        if not abs(total - tu) <= TU_TOLERANCE + slack:
+        if not abs(total - tu) <= TU_TOLERANCE + slack or total == math.inf:
             raise DatasetFormatError(f"declared TU {tu} but utilities sum to {total}", no)
         yield tid, entries, total
 

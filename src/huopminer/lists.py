@@ -65,7 +65,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator
 from functools import cache, reduce
-from itertools import compress, zip_longest
+from itertools import compress
 from math import ceil
 from operator import add
 from typing import NamedTuple
@@ -246,11 +246,13 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     walks each transaction's entries of frequent items last rank first,
     reading each entry's item and quantity from the block columns that
     ``kept()`` yields with it and ``tu`` from the database; each share is
-    ``quantity * unit / tu``, as the measures compute it.  Each entry at
-    position ``p`` goes to its item's two compact columns, the share and
-    the capped remainder, each an ``array('d')``, which keeps no float
-    object; it sets bit ``p`` of the item's mask, a bytearray of one bit
-    per transaction.  The nodes keep these columns until a kept join
+    ``quantity * unit / tu``, as the measures compute it.  Every loader
+    sums ``tu`` left to right from these same nonnegative products, and
+    such a float sum is never below one of its terms, so no share
+    exceeds 1.  Each entry at position ``p`` goes to its item's two
+    compact columns, the share and the capped remainder, each an
+    ``array('d')``, which keeps no float object; it sets bit ``p`` of the
+    item's mask, a bytearray of one bit per transaction.  The nodes keep these columns until a kept join
     reads their dicts.  The top shares seen so far are a short descending
     list, appended to while it has room, else its smallest entry replaced
     by a larger share; it is re-sorted and re-summed, largest first, only
@@ -336,9 +338,9 @@ def construct(
     return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, last, xb.rruo_at, bits, xb.source)
 
 
-# A share s is held in fixed point as ceil(s * 2**SCALE_BITS), one byte
-# per position below 2**SCALE_BITS, so a leaf's share sum is bounded by
-# ANDs and popcounts over bit planes, exactly and from above.
+# A share s is held in fixed point as ceil(s * 2**SCALE_BITS), so a leaf's
+# share sum is bounded by ANDs and popcounts over bit planes, exactly and
+# from above.
 SCALE_BITS = 8
 
 
@@ -350,40 +352,33 @@ def _plane_table(j: int) -> bytes:
 
 
 def share_planes(node: PatternNode) -> list[int]:
-    """Bit planes of a single-item node's fixed-point shares.
-
-    Plane ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share *
-    2**SCALE_BITS)`` is set at position ``p``; a share of 1.0, the whole
-    of a one-item transaction, sets plane ``SCALE_BITS`` alone.
+    """The ``SCALE_BITS + 1`` bit planes of a single-item node's fixed-point
+    shares: plane ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share *
+    2**SCALE_BITS)`` is set at position ``p``.  No share exceeds 1, so a
+    share above 255/256 weighs ``2**SCALE_BITS`` and sets the top plane alone.
     """
     positions, shares, _ = node._read()
-    scale, low_bits = float(1 << SCALE_BITS), (1 << SCALE_BITS) - 1
+    scale = float(1 << SCALE_BITS)
     low = bytearray(node.bits.bit_length())
-    high = []
+    top = 0
     for p, share in zip(positions, shares):
         w = ceil(share * scale)
-        if w > low_bits:  # a share of 1.0 or more: rare
-            high.append((p, w >> SCALE_BITS))
-            w &= low_bits
-        low[p] = w
+        if w >> SCALE_BITS:  # w == 2**SCALE_BITS: rare
+            top |= 1 << p
+        else:
+            low[p] = w
     low.reverse()  # int() reads the highest position first
-    planes = [int(low.translate(_plane_table(j)), 2) for j in range(SCALE_BITS)]
-    for p, w in high:
-        planes.extend([0] * (SCALE_BITS + w.bit_length() - len(planes)))
-        for j in range(w.bit_length()):
-            planes[SCALE_BITS + j] |= (w >> j & 1) << p
-    return planes
+    return [int(low.translate(_plane_table(j)), 2) for j in range(SCALE_BITS)] + [top]
 
 
 def _add_planes(a: list[int], b: list[int]) -> list[int]:
-    """The bit-sliced sum of two bit-sliced columns, by ripple carry."""
+    """The bit-sliced sum of two bit-sliced columns of one width that
+    holds the sum, by ripple carry."""
     total = []
     carry = 0
-    for x, y in zip_longest(a, b, fillvalue=0):
+    for x, y in zip(a, b):
         total.append(x ^ y ^ carry)
         carry = x & y | carry & (x ^ y)
-    if carry:
-        total.append(carry)
     return total
 
 
@@ -404,17 +399,22 @@ class LeafGate:
     ``m·(m + 2) <= 2**54``, so for any ``m`` up to ``2**26``.  The test is
     in integers, so a leaf at ``minuo`` is never rejected.
 
-    The planes of an item are built at its first leaf join whose mask
-    passes, and the planes of the parent's items are added once per
-    parent; a leaf then reads the parent's sum and its own item's planes,
-    high bit first, and stops once the partial sum decides.
+    An item weighs at most ``2**SCALE_BITS`` at a position, so the sum
+    of ``L`` items, and each of them, is empty above the bit length of
+    ``L << SCALE_BITS``.  Every column is padded to the width that ``L =
+    len(nodes)`` needs: an item's planes at its first leaf join whose
+    mask passes, and the parent's items are added once per parent.  A
+    leaf of ``L + 1`` items then reads the parent's sum and its own
+    item's planes from level ``(L << SCALE_BITS).bit_length() - 1``
+    down, and stops once the partial sum decides.
     """
 
-    __slots__ = ("_nodes", "_planes", "_num", "_den", "_parent", "_sums")
+    __slots__ = ("_nodes", "_planes", "_width", "_num", "_den", "_parent", "_sums")
 
     def __init__(self, nodes: Iterable[PatternNode], minuo: float) -> None:
         self._nodes = {node.pattern[0]: node for node in nodes}
         self._planes: dict[int, list[int]] = {}
+        self._width = (len(self._nodes) << SCALE_BITS).bit_length()
         self._num, self._den = minuo.as_integer_ratio()
         self._parent: Pattern = ()
         self._sums: list[int] = []
@@ -423,6 +423,7 @@ class LeafGate:
         planes = self._planes.get(item)
         if planes is None:
             planes = self._planes[item] = share_planes(self._nodes[item])
+            planes += [0] * (self._width - len(planes))
         return planes
 
     def rejects(self, parent: Pattern, item: int, bits: int, sup: int) -> bool:
@@ -435,12 +436,9 @@ class LeafGate:
         # least total that cannot be rejected: the rule, solved for total
         n = len(parent) + 3 + sup
         limit = -(-(self._num * sup << SCALE_BITS + 52) // (self._den * ((1 << 52) + n)))
-        if len(own) != len(sums):  # pad the shorter column with empty planes
-            width = max(len(own), len(sums))
-            sums, own = sums + [0] * (width - len(sums)), own + [0] * (width - len(own))
         total = 0
         slack = 2 * sup  # each column adds below 2**j per position below level j
-        for j in reversed(range(len(sums))):  # at level 0 nothing is left unread
+        for j in reversed(range((len(parent) << SCALE_BITS).bit_length())):
             total += ((bits & sums[j]).bit_count() + (bits & own[j]).bit_count()) << j
             if total >= limit or total + (slack << j) - slack < limit:
                 break

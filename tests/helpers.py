@@ -104,10 +104,10 @@ def transaction(db: TransactionDatabase, tid: int):
 
 
 @st.composite
-def small_databases(draw, max_items: int = 6, max_transactions: int = 8):
+def small_databases(draw, max_items: int = 6, max_transactions: int = 8, unit_utilities=st.integers(1, 10)):
     n_items = draw(st.integers(1, max_items))
     labels = [chr(ord("a") + k) for k in range(n_items)]
-    utilities = {label: draw(st.integers(1, 10)) for label in labels}
+    utilities = {label: draw(unit_utilities) for label in labels}
     n_tx = draw(st.integers(1, max_transactions))
     rows = []
     for tid in range(1, n_tx + 1):

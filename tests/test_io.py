@@ -152,11 +152,11 @@ def test_parse_errors_come_in_file_order():
 
 
 def test_parse_spmf_errors_come_in_file_order():
-    # line 1 adds up to 1e308 twice, a sum past the float range that its
-    # declared TU check lets through, and line 2 is malformed: the lines
-    # stream into the database one at a time, so line 1 is reported
+    # line 1 adds up to 1e308 twice, a sum past the float range that fails
+    # its declared TU check, and line 2 is malformed: the lines stream
+    # into the database one at a time, so line 1 is reported
     text = "1 2:1e308:1e308 1e308\n1 2:10:4\n"
-    with pytest.raises(InvalidDatabaseError, match="utility of transaction 1 is not finite"):
+    with pytest.raises(DatasetFormatError, match=r"^line 1: declared TU 1e\+308 but utilities sum to inf$"):
         parse_spmf_utility(stdio.StringIO(text))
 
 
@@ -426,6 +426,7 @@ def test_spmf_and_qty_encodings_mine_identically():
         "1 2:inf:4 inf",  # infinite tu and utility
         "1 2:inf:4 6",  # infinite tu over finite utilities
         "1 2:2000000000001:1000000000000 1000000000000",  # off by one unit at 2e12
+        "1:1:1\n1 2:1e308:1e308 1e308",  # utilities that sum past the float range
     ],
 )
 def test_parse_spmf_rejects_malformed(line):

@@ -2,12 +2,16 @@
 agreement with the direct-scan measures."""
 
 import dataclasses
+import io
 import math
+import operator
 import tracemalloc
+from fractions import Fraction
+from functools import reduce
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ids_of, small_databases
@@ -20,6 +24,8 @@ from huopminer import (
     length_upper_bound,
     min_support_count,
     mine,
+    parse_quantity_profit,
+    parse_spmf_utility,
     revise_database,
     support_counts,
 )
@@ -539,6 +545,7 @@ def test_share_planes_hold_each_share_rounded_up():
     for label, node in labels.items():
         assert node._columns is not None
         planes = share_planes(node)  # read from the scan's columns
+        assert len(planes) == SCALE_BITS + 1
         for p, share in node.uo_at.items():  # builds the dicts
             tid = db.transactions[p].tid
             assert positions[tid] == p
@@ -550,6 +557,47 @@ def test_share_planes_hold_each_share_rounded_up():
     assert shares["a", 1] == 1.0 and _plane_weights(share_planes(labels["a"]), 0) == 2**SCALE_BITS
     assert 0 < shares["b", 2] < 2.2250738585072014e-308  # subnormal
     assert _plane_weights(share_planes(labels["b"]), 1) == 1
+    # a share above 255/256 that is not 1.0 weighs 2**K too: 1000/1001
+    db = build_database([(1, {"x": 1, "y": 1})], {"x": 1000, "y": 1})
+    nodes = build_initial_nodes(revise_database(db, build_total_order(support_counts(db), 1)), 2)
+    x, y = sorted(nodes, key=lambda n: db.labels_of(n.pattern))
+    assert x.uo == 1000 / 1001
+    assert [_plane_weights(share_planes(n), 0) for n in (x, y)] == [2**SCALE_BITS, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_share_exceeds_one(data):
+    # every loader sums tu left to right from the products the scan
+    # divides, and a float sum of nonnegative terms is never below one of
+    # them: so from the builder, whatever the quantities' type, and from
+    # the same rows as qty and as spmf text, every share is at most 1.
+    # Unit utilities far apart and one-item rows make shares near 1
+    profits = {label: data.draw(st.floats(1e-3, 1e6) | st.integers(1, 10).map(float)) for label in "abcde"}
+    rows = []
+    for tid in range(1, data.draw(st.integers(1, 8)) + 1):
+        members = data.draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True))
+        rows.append((tid, {label: data.draw(st.integers(1, 10**6)) for label in members}))
+    denominator = data.draw(st.integers(1, 7))
+    spmf_lines = []
+    for _, entries in rows:
+        utilities = [q * profits[label] for label, q in entries.items()]
+        ids = " ".join(str("abcde".index(label)) for label in entries)
+        spmf_lines.append(f"{ids}:{sum(utilities)!r}:{' '.join(map(repr, utilities))}\n")
+    databases = [
+        build_database(rows, profits),
+        build_database([(t, {k: float(q) for k, q in e.items()}) for t, e in rows], profits),
+        build_database([(t, {k: Fraction(q, denominator) for k, q in e.items()}) for t, e in rows], profits),
+        parse_quantity_profit(
+            io.StringIO("".join(" ".join(f"{k}:{q}" for k, q in e.items()) + "\n" for _, e in rows)),
+            io.StringIO("".join(f"{label} {eu!r}\n" for label, eu in profits.items())),
+        ),
+        parse_spmf_utility(io.StringIO("".join(spmf_lines))),
+    ]
+    for db in databases:
+        rdb = revise_database(db, build_total_order(support_counts(db), 1))
+        for node in build_initial_nodes(rdb, 3):
+            assert all(0 <= share <= 1 for share in node._columns[0])
 
 
 def test_leaf_gate_keeps_leaves_within_the_proved_margin():
@@ -567,3 +615,50 @@ def test_leaf_gate_keeps_leaves_within_the_proved_margin():
         assert gate.rejects(a.pattern, b.pattern[0], bits, 4) is rejected
     assert construct(None, a, b, 1, LeafGate([a, b, c], 0.5)).uo == 0.5
     assert construct(None, a, b, 1, LeafGate([a, b, c], 0.5 + 9 * 2**-53)) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_databases(max_transactions=30, unit_utilities=st.sampled_from([1, 3, 1000, 10**6])), st.data())
+def test_the_leaf_gate_answers_by_its_integer_rule(db, data):
+    # one gate answers leaves under parents of several lengths, each
+    # answer exactly the rule its docstring states: with total the sum
+    # over the mask of the leaf's items' ceil(share * 2**K), the leaf is
+    # rejected iff total * den * (2**52 + n) < num * sup * 2**(K + 52),
+    # n = L + sup + 2 and num/den = minuo.  Unit utilities far apart give
+    # shares above 255/256 in rows of several items, and minuo is often
+    # drawn within a few ulps of a leaf's turning point, where a lost
+    # carry or plane shows
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    nodes = build_initial_nodes(rdb, 2)
+    masks = {node.pattern[0]: node.bits for node in nodes}
+    assume(len(masks) > 1)
+    leaves = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        parent = tuple(data.draw(st.lists(st.sampled_from(list(masks)), min_size=1,
+                                          max_size=len(masks) - 1, unique=True)))
+        rest = [item for item in masks if item not in parent]
+        for item in data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True)):
+            leaf = parent + (item,)
+            bits = reduce(operator.and_, map(masks.get, leaf))
+            total = sum(
+                math.ceil(uo_in_transaction((i,), db.transactions[p], db.utility_table) * 2**SCALE_BITS)
+                for p in range(db.size) if bits >> p & 1
+                for i in leaf
+            )
+            leaves.append((parent, item, bits, bits.bit_count(), total))
+
+    turning = [(total, sup, len(parent) + 3 + sup) for parent, _, _, sup, total in leaves if sup]
+    if turning and data.draw(st.booleans()):
+        total, sup, n = data.draw(st.sampled_from(turning))
+        minuo = float(Fraction(total * ((1 << 52) + n), sup << SCALE_BITS + 52))
+        steps = data.draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            minuo = math.nextafter(minuo, steps * math.inf)
+    else:
+        minuo = data.draw(st.floats(0, 1))
+    num, den = minuo.as_integer_ratio()
+    gate = LeafGate(nodes, minuo)
+    for parent, item, bits, sup, total in leaves:
+        n = len(parent) + 3 + sup
+        rule = total * den * ((1 << 52) + n) < (num * sup << SCALE_BITS + 52)
+        assert gate.rejects(parent, item, bits, sup) is rule
