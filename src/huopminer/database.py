@@ -73,13 +73,12 @@ class TransactionDatabase:
     Transaction ``p``, 0-based, is the run of entries from ``ends[p - 1]``
     (0 for the first) up to ``ends[p]``: entry ``e`` is item ``items[e]``
     with quantity ``quantities[e]``, in the order its row listed them.
-    ``tus[p]`` is its utility, summed left to right from its entries' by
-    every loader, so that no share exceeds 1, and ``tids[p]`` its id, a
-    ``range`` when the ids are ``1..n``.  ``items`` and ``quantities`` are
-    as narrow as their values allow, down to one byte per entry, and read
-    back exactly: see :func:`_columns`.  ``item_labels[i]`` is the external
-    label of item id ``i``.  :attr:`transactions` reads the columns as a
-    sequence of :class:`Transaction`.
+    ``tus[p]`` is its utility and ``tids[p]`` its id, a ``range`` when the
+    ids are ``1..n``.  ``items`` and ``quantities`` are as narrow as their
+    values allow, down to one byte per entry, and read back exactly: see
+    :func:`_columns`.  ``item_labels[i]`` is the external label of item id
+    ``i``.  :attr:`transactions` reads the columns as a sequence of
+    :class:`Transaction`.
     """
 
     items: array[int]

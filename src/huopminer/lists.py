@@ -240,24 +240,23 @@ def length_upper_bound(node: PatternNode, min_sup_count: int) -> float:
 def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode, ...]:
     """Build the single-item nodes in one pass, returned in mining order.
 
-    Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest
-    shares among the items after it in the same transaction.  The scan
-    reads ``rdb.kept()``, so ``rdb.transactions`` is never built, and
-    walks each transaction's entries of frequent items last rank first,
-    reading each entry's item and quantity from the block columns that
-    ``kept()`` yields with it and ``tu`` from the database; each share is
-    ``quantity * unit / tu``, as the measures compute it.  Every loader
-    sums ``tu`` left to right from these same nonnegative products, and
-    such a float sum is never below one of its terms, so no share
-    exceeds 1.  Each entry at position ``p`` goes to its item's two
-    compact columns, the share and the capped remainder, each an
-    ``array('d')``, which keeps no float object; it sets bit ``p`` of the
-    item's mask, a bytearray of one bit per transaction.  The nodes keep these columns until a kept join
-    reads their dicts.  The top shares seen so far are a short descending
-    list, appended to while it has room, else its smallest entry replaced
-    by a larger share; it is re-sorted and re-summed, largest first, only
-    when it changes, and not at all after the entry walked last, whose
-    remainder is already taken.
+    Each item's ``luo`` keeps at most ``maxlen - 1`` of the largest shares
+    among the items after it in the same transaction.  The scan reads
+    ``rdb.kept()``, so ``rdb.transactions`` is never built, and walks each
+    transaction's entries of frequent items last rank first, reading each
+    entry's item and quantity from the block columns that ``kept()`` yields
+    with it and ``tu`` from the database; each share is ``quantity * unit /
+    tu``, as the measures compute it.  Every loader sums ``tu`` left to
+    right from these same nonnegative products, and a float sum is never
+    below one of its terms, so no share exceeds 1.  Each entry at position
+    ``p`` goes to its item's two compact ``array('d')`` columns, the share
+    and the capped remainder, which keep no float object, and sets bit ``p``
+    of the item's mask, a bytearray of one bit per transaction; the nodes
+    keep the columns until a kept join reads their dicts.  The top shares
+    seen so far are a short descending list, appended to while it has room,
+    else its smallest entry replaced by a larger share; it is re-sorted and
+    re-summed, largest first, only when it changes, and not at all after the
+    entry walked last, whose remainder is already taken.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
@@ -339,31 +338,31 @@ def construct(
 
 
 # A share s is held in fixed point as ceil(s * 2**SCALE_BITS), so a leaf's
-# share sum is bounded by ANDs and popcounts over bit planes, exactly and
-# from above.
+# share sum is bounded from above by ANDs and popcounts over bit planes.
 SCALE_BITS = 8
 
 
 @cache
 def _plane_table(j: int) -> bytes:
-    """A translate table taking a byte to ASCII ``1`` when its bit ``j``
-    is set and to ``0`` otherwise; built on first use, not at import."""
+    """A translate table: a byte to ASCII ``1`` if its bit ``j`` is set, else ``0``."""
     return bytes(48 | (v >> j & 1) for v in range(256))
 
 
-def share_planes(node: PatternNode) -> list[int]:
+def share_planes(node: PatternNode) -> list[int] | None:
     """The ``SCALE_BITS + 1`` bit planes of a single-item node's fixed-point
     shares: plane ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share *
-    2**SCALE_BITS)`` is set at position ``p``.  No share exceeds 1, so a
-    share above 255/256 weighs ``2**SCALE_BITS`` and sets the top plane alone.
-    """
+    2**SCALE_BITS)`` is set at position ``p``; a share above 255/256 sets
+    the top plane alone.  ``None`` if a share exceeds 1, as a ``tu`` below
+    its entries' utilities gives, which no loader makes."""
     positions, shares, _ = node._read()
     scale = float(1 << SCALE_BITS)
     low = bytearray(node.bits.bit_length())
     top = 0
     for p, share in zip(positions, shares):
         w = ceil(share * scale)
-        if w >> SCALE_BITS:  # w == 2**SCALE_BITS: rare
+        if w >> SCALE_BITS:  # a share above 255/256: rare
+            if w > 1 << SCALE_BITS:  # a share above 1
+                return None
             top |= 1 << p
         else:
             low[p] = w
@@ -372,8 +371,7 @@ def share_planes(node: PatternNode) -> list[int]:
 
 
 def _add_planes(a: list[int], b: list[int]) -> list[int]:
-    """The bit-sliced sum of two bit-sliced columns of one width that
-    holds the sum, by ripple carry."""
+    """Ripple-carry sum of two bit-sliced columns of a width that holds it."""
     total = []
     carry = 0
     for x, y in zip(a, b):
@@ -399,40 +397,43 @@ class LeafGate:
     ``m·(m + 2) <= 2**54``, so for any ``m`` up to ``2**26``.  The test is
     in integers, so a leaf at ``minuo`` is never rejected.
 
-    An item weighs at most ``2**SCALE_BITS`` at a position, so the sum
-    of ``L`` items, and each of them, is empty above the bit length of
-    ``L << SCALE_BITS``.  Every column is padded to the width that ``L =
-    len(nodes)`` needs: an item's planes at its first leaf join whose
-    mask passes, and the parent's items are added once per parent.  A
-    leaf of ``L + 1`` items then reads the parent's sum and its own
-    item's planes from level ``(L << SCALE_BITS).bit_length() - 1``
-    down, and stops once the partial sum decides.
+    An item weighs at most ``2**SCALE_BITS`` at a position, so ``L``
+    items sum to at most ``L << SCALE_BITS``.  An item's planes, built
+    at its first leaf join whose mask passes, are padded to the width
+    ``L = len(nodes)`` needs, and a parent's items are added once per
+    parent.  A leaf under a parent of ``L`` items reads the parent's sum
+    and its own planes from level ``(L << SCALE_BITS).bit_length() - 1``
+    down, until the partial sum decides.  A leaf with an item that has
+    no planes is never rejected.
     """
 
     __slots__ = ("_nodes", "_planes", "_width", "_num", "_den", "_parent", "_sums")
 
     def __init__(self, nodes: Iterable[PatternNode], minuo: float) -> None:
         self._nodes = {node.pattern[0]: node for node in nodes}
-        self._planes: dict[int, list[int]] = {}
+        self._planes: dict[int, list[int] | None] = {}
         self._width = (len(self._nodes) << SCALE_BITS).bit_length()
         self._num, self._den = minuo.as_integer_ratio()
         self._parent: Pattern = ()
-        self._sums: list[int] = []
+        self._sums: list[int] | None = []
 
-    def _item_planes(self, item: int) -> list[int]:
-        planes = self._planes.get(item)
-        if planes is None:
+    def _item_planes(self, item: int) -> list[int] | None:
+        if item not in self._planes:
             planes = self._planes[item] = share_planes(self._nodes[item])
-            planes += [0] * (self._width - len(planes))
-        return planes
+            if planes is not None:
+                planes += [0] * (self._width - len(planes))
+        return self._planes[item]
 
     def rejects(self, parent: Pattern, item: int, bits: int, sup: int) -> bool:
         """Whether the leaf ``parent + (item,)`` over the positions
         ``bits``, ``sup`` of them, has a ``uo`` provably below ``minuo``."""
         if parent is not self._parent:  # the walk joins one parent's leaves in a row
             self._parent = parent
-            self._sums = reduce(_add_planes, map(self._item_planes, parent))
+            columns = list(map(self._item_planes, parent))
+            self._sums = None if None in columns else reduce(_add_planes, columns)
         sums, own = self._sums, self._item_planes(item)
+        if sums is None or own is None:  # an item has a share above 1
+            return False
         # least total that cannot be rejected: the rule, solved for total
         n = len(parent) + 3 + sup
         limit = -(-(self._num * sup << SCALE_BITS + 52) // (self._den * ((1 << 52) + n)))

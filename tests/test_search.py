@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GOLDEN_18, ids_of, joined_labels, results_by_label, small_databases
+from helpers import GOLDEN_18, database_of, ids_of, joined_labels, results_by_label, small_databases
 from huopminer import (
     MiningParams,
+    Transaction,
     build_database,
     build_initial_nodes,
     build_total_order,
@@ -284,6 +285,23 @@ def test_a_tie_at_minuo_is_decided_as_by_the_oracle():
         assert ("efb" in got) is reported
         if reported:
             assert (got["efb"][1], want["efb"][1]) == (above, below)
+
+
+def test_a_share_above_one_is_never_gated():
+    # no loader makes a tu below its entries' utilities, but a database
+    # built directly can: a's share 2.9 in the first transaction has no
+    # fixed-point planes, so the gate rejects no leaf with a, and "a b",
+    # whose exact uo is (3.0 + 0.1) / 2 = 1.55, is reported as by the oracle
+    db = database_of(
+        transactions=[Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)],
+        utility_table={0: 1.0, 1: 1.0},
+        item_labels=("a", "b"),
+    )
+    params = MiningParams(0.5, 0.9, 1, 2)
+    got = results_by_label(db, mine(db, params)[0])
+    want = results_by_label(db, brute_force_mine(db, params))
+    assert {k: sup for k, (sup, _) in got.items()} == {k: sup for k, (sup, _) in want.items()}
+    assert got["ab"][1] == pytest.approx(want["ab"][1]) == pytest.approx(1.55)
 
 
 @settings(max_examples=25, deadline=None)
