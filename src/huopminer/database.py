@@ -76,9 +76,10 @@ class TransactionDatabase:
     ``tus[p]`` is its utility and ``tids[p]`` its id, a ``range`` when the
     ids are ``1..n``.  ``items`` and ``quantities`` are as narrow as their
     values allow, down to one byte per entry, and read back exactly: see
-    :func:`_columns`.  ``item_labels[i]`` is the external label of item id
-    ``i``.  :attr:`transactions` reads the columns as a sequence of
-    :class:`Transaction`.
+    :func:`_columns`.  ``ends`` is four bytes wide, so a database holds at
+    most 2**32 - 1 entries.  ``item_labels[i]`` is the external label of
+    item id ``i``.  :attr:`transactions` reads the columns as a sequence
+    of :class:`Transaction`.
     """
 
     items: array[int]
@@ -288,7 +289,7 @@ def _columns(
     n = len(labels)
     items = array("B" if n <= 1 << 8 else "i")
     quantities: array[int] | list[float] = array("B")
-    ends, tus = array("q"), array("d")
+    ends, tus = array("I"), array("d")
     tids: list[int] | range | None = None
     item_block: list[int] = []
     qty_block: list[float] = []

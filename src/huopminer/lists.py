@@ -251,12 +251,13 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     below one of its terms, so no share exceeds 1.  Each entry at position
     ``p`` goes to its item's two compact ``array('d')`` columns, the share
     and the capped remainder, which keep no float object, and sets bit ``p``
-    of the item's mask, a bytearray of one bit per transaction; the nodes
-    keep the columns until a kept join reads their dicts.  The top shares
-    seen so far are a short descending list, appended to while it has room,
-    else its smallest entry replaced by a larger share; it is re-sorted and
-    re-summed, largest first, only when it changes, and not at all after the
-    entry walked last, whose remainder is already taken.
+    of the item's mask, a bytearray of one bit per transaction, dropped as
+    its int is made; the nodes keep the columns until a kept join reads
+    their dicts.  The top shares seen so far are a short descending list,
+    appended to while it has room, else its smallest entry replaced by a
+    larger share; it is re-sorted and re-summed, largest first, only when
+    it changes, and not at all after the entry walked last, whose
+    remainder is already taken.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
@@ -265,7 +266,7 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     # each frequent item's columns, indexed by item id
     shares: list[array[float] | None] = [None] * len(db.item_labels)
     rests: list[array[float] | None] = [None] * len(db.item_labels)
-    masks: list[bytearray | None] = [None] * len(db.item_labels)
+    masks: list[bytearray | int | None] = [None] * len(db.item_labels)
     for item in rdb.order.items:
         shares[item], rests[item] = array("d"), array("d")
         masks[item] = bytearray((db.size + 7) // 8)
@@ -296,10 +297,10 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
                 top.sort(reverse=True)
             rest = sum(top)
 
+    for item in rdb.order.items:  # each bytearray is freed as its int replaces it
+        masks[item] = int.from_bytes(masks[item], "little")
     return tuple(
-        PatternNode._compact(
-            (item,), shares[item], rests[item], int.from_bytes(masks[item], "little"), source
-        )
+        PatternNode._compact((item,), shares[item], rests[item], masks[item], source)
         for item in rdb.order.items
     )
 

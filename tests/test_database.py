@@ -249,8 +249,9 @@ def test_quantity_column_widens_at_a_block_edge(wide):
 
 @pytest.mark.parametrize("labels", [256, 257])
 def test_item_column_at_its_width_edges(labels):
-    # ids one byte wide up to 256 labels, four beyond;
-    # the highest id is listed, and every reader sees the labels' rows
+    # ids one byte wide up to 256 labels, four beyond, and row ends four
+    # bytes wide at both; the highest id is listed, and every reader sees
+    # the labels' rows
     top, mid = str(labels - 1), str(labels // 2)
     rows = [
         (1, {top: 2, "0": 1}),
@@ -260,6 +261,7 @@ def test_item_column_at_its_width_edges(labels):
     ]
     db = build_database(rows, {str(k): 1 + k % 7 for k in range(labels)})
     assert db.items.itemsize == (1 if labels <= 256 else 4)
+    assert db.ends.itemsize == 4
     assert_entries_are_the_rows(db, rows)
     assert {db.item_labels[i]: c for i, c in support_counts(db).items()} == {top: 3, "0": 3, mid: 3}
     params = MiningParams(0.5, 0.1, 1, 3)

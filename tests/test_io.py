@@ -269,10 +269,10 @@ def test_quantity_parser_equals_the_builder_past_many_distinct_pairs():
 def test_parsed_entries_hold_few_bytes(scaled_sparse_db):
     # the parsed database sets the peak memory of a load-bound run: its
     # columns hold a one-byte item id, a one-byte quantity and a share of
-    # the transaction's end offset and utility per entry, and the parse
-    # builds no object per transaction.  Under CPython 3.10 to 3.13 it
-    # holds about 6.4 B per entry, and its traced peak, the text read
-    # included, is about 15 B per entry
+    # the transaction's four-byte end offset and its utility per entry,
+    # and the parse builds no object per transaction.  Under CPython 3.10
+    # to 3.13 it holds 5.46-5.51 B per entry (6.30-6.35 with eight-byte
+    # ends), and its traced peak, the text read included, is 13.95-14.44 B
     db = scaled_sparse_db
     tx_out, profit_out = stdio.StringIO(), stdio.StringIO()
     write_quantity_profit(db, tx_out, profit_out)
@@ -288,8 +288,9 @@ def test_parsed_entries_hold_few_bytes(scaled_sparse_db):
         tracemalloc.stop()
     entries = sum(len(tx.entries) for tx in parsed.transactions)
     assert entries == sum(len(tx.entries) for tx in db.transactions)
-    assert (held - before) / entries < 7
-    assert (peak - before) / entries < 16
+    held, peak = (held - before) / entries, (peak - before) / entries
+    assert held < 6, f"{held:.2f} B per entry held"
+    assert peak < 16, f"{peak:.2f} B per entry at peak"
 
 
 def test_generator_streams_its_rows():
@@ -305,15 +306,17 @@ def test_generator_streams_its_rows():
     finally:
         tracemalloc.stop()
     assert db.size == 20_000
-    assert peak - before <= 1.2 * (held - before)
+    ratio = (peak - before) / (held - before)
+    assert ratio <= 1.2, f"peak {ratio:.3f} times the {held - before} B held"
 
 
 def test_spmf_parse_keeps_no_list_of_lines(scaled_sparse_db):
     # the text is read once and its lines are split twice, once for the
     # vocabulary and once for the rows, so no (number, line) list lives
     # beside the database while it is built.  Under CPython 3.10 to 3.13
-    # the traced peak is 48.3-48.6 B per entry, and 37.3-37.4 B are held
-    # after; a parse that holds its list of lines peaks near 85 B
+    # the traced peak is 47.43-47.67 B per entry, and 36.45-36.50 B are
+    # held after (48.27-48.51 and 37.29-37.35 with eight-byte row ends);
+    # a parse that holds its list of lines peaks near 85 B
     db = scaled_sparse_db
     source = stdio.StringIO("".join(
         f"{' '.join(db.item_labels[i] for i in tx.entries)}:{tx.tu!r}:"
@@ -328,8 +331,9 @@ def test_spmf_parse_keeps_no_list_of_lines(scaled_sparse_db):
     finally:
         tracemalloc.stop()
     assert [tx.tu for tx in parsed.transactions] == [tx.tu for tx in db.transactions]
-    assert peak - before <= 1.32 * (held - before)
-    assert (peak - before) / len(parsed.items) < 49
+    held, peak = (held - before) / len(parsed.items), (peak - before) / len(parsed.items)
+    assert peak <= 1.32 * held, f"{peak / held:.3f} times the {held:.2f} B per entry held"
+    assert peak < 48, f"{peak:.2f} B per entry at peak"
 
 
 def test_unused_profit_entries_change_no_answer(tmp_path):
