@@ -73,8 +73,10 @@ class TransactionDatabase:
     Transaction ``p``, 0-based, is the run of entries from ``ends[p - 1]``
     (0 for the first) up to ``ends[p]``: entry ``e`` is item ``items[e]``
     with quantity ``quantities[e]``, in the order its row listed them.
-    ``tus[p]`` is its utility and ``tids[p]`` its id, a ``range`` when the
-    ids are ``1..n``.  ``items`` and ``quantities`` are as narrow as their
+    ``tus[p]`` is its utility, at least each of its entries' utilities as
+    every loader sums it (:func:`~huopminer.search.mine` refuses a database
+    that breaks this), and ``tids[p]`` its id, a ``range`` when the ids are
+    ``1..n``.  ``items`` and ``quantities`` are as narrow as their
     values allow, down to one byte per entry, and read back exactly: see
     :func:`_columns`.  ``ends`` is four bytes wide, so a database holds at
     most 2**32 - 1 entries.  ``item_labels[i]`` is the external label of

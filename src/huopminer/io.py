@@ -29,13 +29,15 @@ import csv
 import math
 import random
 import sys
+from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .database import HUOPResult, TransactionDatabase, build_database
 from .database import _columns, _decimal_digits, _number_items
-from .errors import DatasetFormatError, InvalidParamsError
+from .errors import DatasetFormatError, InvalidDatabaseError, InvalidParamsError
 
 TU_TOLERANCE = 1e-6
 
@@ -317,12 +319,22 @@ def write_stats_csv(rows: Iterable[Mapping[str, object]], dest) -> None:
 
 
 def write_quantity_profit(db: TransactionDatabase, tx_dest, profit_dest) -> None:
-    """Write a database in the quantity-profit pair of files."""
+    """Write a database in the quantity-profit pair of files, each quantity
+    as the decimal digits the qty loader reads.  A quantity that is not a
+    whole number, such as an spmf utility of 2.5, raises
+    ``InvalidDatabaseError`` naming its transaction and item before either
+    destination is opened."""
+    quantities = db.quantities
+    if not isinstance(quantities, array) or quantities.typecode in "fd":  # ints need no check
+        for e, qty in enumerate(quantities):
+            if qty % 1:  # a fraction, or nan for an infinite or nan quantity
+                tid, label = db.tids[bisect_right(db.ends, e)], db.item_labels[db.items[e]]
+                raise InvalidDatabaseError(
+                    f"quantity {qty!r} for item {label!r} in transaction {tid} is not a whole number"
+                )
     with _output(tx_dest) as out:
         for tx in db.transactions:
-            pairs = " ".join(
-                f"{db.item_labels[item]}:{_fmt_number(qty)}" for item, qty in tx.entries.items()
-            )
+            pairs = " ".join(f"{db.item_labels[item]}:{int(qty)}" for item, qty in tx.entries.items())
             out.write(pairs + "\n")
     with _output(profit_dest) as out:
         for item, label in enumerate(db.item_labels):

@@ -71,7 +71,7 @@ from operator import add
 from typing import NamedTuple
 
 from .database import Pattern, RevisedDatabase
-from .errors import InvalidParamsError
+from .errors import InvalidDatabaseError, InvalidParamsError
 from .measures import luo_in_transaction
 
 
@@ -246,18 +246,20 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     transaction's entries of frequent items last rank first, reading each
     entry's item and quantity from the block columns that ``kept()`` yields
     with it and ``tu`` from the database; each share is ``quantity * unit /
-    tu``, as the measures compute it.  Every loader sums ``tu`` left to
-    right from these same nonnegative products, and a float sum is never
-    below one of its terms, so no share exceeds 1.  Each entry at position
-    ``p`` goes to its item's two compact ``array('d')`` columns, the share
-    and the capped remainder, which keep no float object, and sets bit ``p``
-    of the item's mask, a bytearray of one bit per transaction, dropped as
-    its int is made; the nodes keep the columns until a kept join reads
-    their dicts.  The top shares seen so far are a short descending list,
-    appended to while it has room, else its smallest entry replaced by a
-    larger share; it is re-sorted and re-summed, largest first, only when
-    it changes, and not at all after the entry walked last, whose
-    remainder is already taken.
+    tu``, as the measures compute it.  No share exceeds 1, the contract
+    :class:`LeafGate` rests on: every loader sums ``tu`` from these same
+    nonnegative products, and a float sum is never below one of its terms.
+    A directly built database can break it; the scan then raises
+    ``InvalidDatabaseError`` naming the tid and the item.  Each entry at
+    position ``p`` goes to its item's two compact ``array('d')`` columns,
+    the share and the capped remainder, which keep no float object, and sets
+    bit ``p`` of the item's mask, a bytearray of one bit per transaction,
+    dropped as its int is made; the nodes keep the columns until a kept join
+    reads their dicts.  The top shares seen so far are a short descending
+    list, appended to while it has room, else its smallest entry replaced by
+    a larger share; it is re-sorted and re-summed, largest first, only when
+    it changes, and not at all after the entry walked last, whose remainder
+    is already taken.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
@@ -282,6 +284,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
         for e in reversed(entries):
             item = items[e]
             share = quantities[e] * unit[item] / tu
+            if share > 1:  # the contract on shares, stated above
+                label = db.item_labels[item]
+                raise InvalidDatabaseError(f"utility of transaction {db.tids[p]} is below that of item {label!r}")
             shares[item].append(share)
             rests[item].append(rest)
             masks[item][byte] |= bit
@@ -349,12 +354,12 @@ def _plane_table(j: int) -> bytes:
     return bytes(48 | (v >> j & 1) for v in range(256))
 
 
-def share_planes(node: PatternNode) -> list[int] | None:
+def share_planes(node: PatternNode) -> list[int]:
     """The ``SCALE_BITS + 1`` bit planes of a single-item node's fixed-point
     shares: plane ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share *
-    2**SCALE_BITS)`` is set at position ``p``; a share above 255/256 sets
-    the top plane alone.  ``None`` if a share exceeds 1, as a ``tu`` below
-    its entries' utilities gives, which no loader makes."""
+    2**SCALE_BITS)`` is set at position ``p``.  No share exceeds 1 (see
+    :func:`build_initial_nodes`), so a share above 255/256 weighs exactly
+    ``2**SCALE_BITS`` and sets the top plane alone."""
     positions, shares, _ = node._read()
     scale = float(1 << SCALE_BITS)
     low = bytearray(node.bits.bit_length())
@@ -362,8 +367,6 @@ def share_planes(node: PatternNode) -> list[int] | None:
     for p, share in zip(positions, shares):
         w = ceil(share * scale)
         if w >> SCALE_BITS:  # a share above 255/256: rare
-            if w > 1 << SCALE_BITS:  # a share above 1
-                return None
             top |= 1 << p
         else:
             low[p] = w
@@ -398,31 +401,29 @@ class LeafGate:
     ``m·(m + 2) <= 2**54``, so for any ``m`` up to ``2**26``.  The test is
     in integers, so a leaf at ``minuo`` is never rejected.
 
-    An item weighs at most ``2**SCALE_BITS`` at a position, so ``L``
-    items sum to at most ``L << SCALE_BITS``.  An item's planes, built
-    at its first leaf join whose mask passes, are padded to the width
-    ``L = len(nodes)`` needs, and a parent's items are added once per
-    parent.  A leaf under a parent of ``L`` items reads the parent's sum
-    and its own planes from level ``(L << SCALE_BITS).bit_length() - 1``
-    down, until the partial sum decides.  A leaf with an item that has
-    no planes is never rejected.
+    No share exceeds 1, so an item weighs at most ``2**SCALE_BITS`` at a
+    position and ``L`` items sum to at most ``L << SCALE_BITS``.  An
+    item's planes, built at its first leaf join whose mask passes, are
+    padded to the width ``L = len(nodes)`` needs, and a parent's items are
+    added once per parent.  A leaf under a parent of ``L`` items reads the
+    parent's sum and its own planes from level ``(L <<
+    SCALE_BITS).bit_length() - 1`` down, until the partial sum decides.
     """
 
     __slots__ = ("_nodes", "_planes", "_width", "_num", "_den", "_parent", "_sums")
 
     def __init__(self, nodes: Iterable[PatternNode], minuo: float) -> None:
         self._nodes = {node.pattern[0]: node for node in nodes}
-        self._planes: dict[int, list[int] | None] = {}
+        self._planes: dict[int, list[int]] = {}
         self._width = (len(self._nodes) << SCALE_BITS).bit_length()
         self._num, self._den = minuo.as_integer_ratio()
         self._parent: Pattern = ()
-        self._sums: list[int] | None = []
+        self._sums: list[int] = []
 
-    def _item_planes(self, item: int) -> list[int] | None:
+    def _item_planes(self, item: int) -> list[int]:
         if item not in self._planes:
             planes = self._planes[item] = share_planes(self._nodes[item])
-            if planes is not None:
-                planes += [0] * (self._width - len(planes))
+            planes += [0] * (self._width - len(planes))
         return self._planes[item]
 
     def rejects(self, parent: Pattern, item: int, bits: int, sup: int) -> bool:
@@ -430,11 +431,8 @@ class LeafGate:
         ``bits``, ``sup`` of them, has a ``uo`` provably below ``minuo``."""
         if parent is not self._parent:  # the walk joins one parent's leaves in a row
             self._parent = parent
-            columns = list(map(self._item_planes, parent))
-            self._sums = None if None in columns else reduce(_add_planes, columns)
+            self._sums = reduce(_add_planes, map(self._item_planes, parent))
         sums, own = self._sums, self._item_planes(item)
-        if sums is None or own is None:  # an item has a share above 1
-            return False
         # least total that cannot be rejected: the rule, solved for total
         n = len(parent) + 3 + sup
         limit = -(-(self._num * sup << SCALE_BITS + 52) // (self._den * ((1 << 52) + n)))

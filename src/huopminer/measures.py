@@ -23,7 +23,9 @@ its revised counterpart gives: an iterated node reads the parsed
 database, no revised copy.
 
 A measure asked about an absent pattern raises ``PatternNotSupportedError``,
-naming the transaction that lacks it or saying that none holds it.
+naming the transaction that lacks it or saying that none holds it.  To
+the tail measures, a pattern with an item outside the mining order is
+absent from every transaction, original or revised, and raises it too.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ def _supports(pattern: Pattern, tx: Transaction) -> bool:
     return all(map(tx.entries.__contains__, pattern))
 
 
-def _checked_pattern(pattern: Iterable[int], tx: Transaction) -> Pattern:
-    """``pattern`` as a tuple, once ``tx`` is known to contain it."""
+def _checked_pattern(pattern: Iterable[int], tx: Transaction, rank: Mapping[int, int] | None = None) -> Pattern:
+    """``pattern`` as a tuple, once ``tx`` is known to contain it; given the
+    mining order's ``rank``, an item outside the order counts as absent, as
+    it is from the revised transaction."""
     pattern = tuple(pattern)
-    if not _supports(pattern, tx):
+    if not _supports(pattern, tx) or rank is not None and not all(map(rank.__contains__, pattern)):
         raise PatternNotSupportedError(f"transaction {tx.tid} does not contain {pattern}")
     return pattern
 
@@ -92,7 +96,7 @@ def _tail_occupancies(pattern: tuple[int, ...], tx: Transaction, rdb: RevisedDat
 
 def ruo_in_transaction(pattern: Iterable[int], tx: Transaction, rdb: RevisedDatabase) -> float:
     """Utility share of everything after ``pattern`` in one transaction."""
-    return sum(_tail_occupancies(_checked_pattern(pattern, tx), tx, rdb))
+    return sum(_tail_occupancies(_checked_pattern(pattern, tx, rdb.order.rank), tx, rdb))
 
 
 def ruo_of_pattern(pattern: Iterable[int], rdb: RevisedDatabase) -> float:
@@ -109,7 +113,7 @@ def luo_in_transaction(
     slots = maxlen - len(pattern)
     if slots < 0:
         raise InvalidParamsError(f"pattern longer than maxlen: {len(pattern)} > {maxlen}")
-    _checked_pattern(pattern, tx)
+    _checked_pattern(pattern, tx, rdb.order.rank)
     if slots == 0:
         return ()
     return tuple(heapq.nlargest(slots, _tail_occupancies(pattern, tx, rdb)))

@@ -9,11 +9,10 @@ CLI pins' variant inputs from a generated dataset.
 
 from __future__ import annotations
 
-from array import array
-
 from hypothesis import strategies as st
 
 from huopminer import TransactionDatabase, build_database, parse_quantity_profit
+from huopminer.database import _columns
 
 SAMPLE_ROWS = [
     (1, {"a": 3, "b": 4, "c": 2, "d": 6, "e": 2}),
@@ -78,22 +77,10 @@ def results_by_label(db, results) -> dict[str, tuple[int, float]]:
 
 def database_of(transactions, utility_table, item_labels) -> TransactionDatabase:
     """A database holding ``transactions`` as they are: their tids, their
-    ``tu``s and their entries in their order, checked against nothing."""
-    items, quantities, ends, tus = array("i"), [], array("q"), array("d")
-    for tx in transactions:
-        items.extend(tx.entries)
-        quantities.extend(tx.entries.values())
-        ends.append(len(items))
-        tus.append(tx.tu)
-    return TransactionDatabase(
-        items=items,
-        quantities=quantities,
-        ends=ends,
-        tus=tus,
-        tids=[tx.tid for tx in transactions],
-        utility_table=utility_table,
-        item_labels=item_labels,
-    )
+    ``tu``s and their entries in their order, stored by ``database._columns``
+    as every loader stores its rows.  A row is checked only as ``_columns``
+    checks every row, for a ``tu`` that is neither infinite nor 0."""
+    return _columns(((tx.tid, tx.entries, tx.tu) for tx in transactions), utility_table, item_labels)
 
 
 def transaction(db: TransactionDatabase, tid: int):

@@ -1,17 +1,20 @@
 """Dataset parsing, synthetic generation, and the writers."""
 
 import io as stdio
+import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, make_sample_db, results_by_label
+from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, database_of, make_sample_db, results_by_label
 from huopminer import (
     GeneratorSpec,
     MiningParams,
+    Transaction,
     build_database,
     generate_synthetic,
     mine,
@@ -534,6 +537,48 @@ def test_fractional_unit_utilities_round_trip(tmp_path):
         write_results(results, source, tmp_path / f"{name}.out")
     assert (tmp_path / "built.out").read_bytes() == (tmp_path / "read.out").read_bytes()
     assert (tmp_path / "built.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make_db, error, text",
+    [
+        # an spmf utility is the quantity of a unit utility of 1
+        (lambda: parse_spmf_utility(stdio.StringIO("1 2:5.5:2.5 3\n")),
+         "quantity 2.5 for item '1' in transaction 1 is not a whole number", None),
+        (lambda: build_database([(1, {"a": 2}), (2, {"a": Fraction(1, 3)})], {"a": 3}),
+         "quantity Fraction(1, 3) for item 'a' in transaction 2 is not a whole number", None),
+        # whole quantities of any type are written as the digits of their int
+        (lambda: database_of([Transaction(1, {0: int("7" * 400), 1: 3.0, 2: Fraction(6, 2)}, 3.0)],
+                             {0: 1.0, 1: 1.0, 2: 1.0}, ("a", "b", "c")),
+         None, f"a:{'7' * 400} b:3 c:3\n"),
+    ],
+    ids=["spmf utility", "fraction", "whole quantities"],
+)
+def test_qty_writer_writes_only_what_the_qty_loader_reads(tmp_path, make_db, error, text):
+    db = make_db()
+    tx_path, profit_path = tmp_path / "w.qty", tmp_path / "w.profit"
+    if error is None:
+        write_quantity_profit(db, tx_path, profit_path)
+        assert tx_path.read_text(encoding="utf-8") == text
+    else:
+        with pytest.raises(InvalidDatabaseError, match=f"^{re.escape(error)}$"):
+            write_quantity_profit(db, tx_path, profit_path)
+        assert not tx_path.exists() and not profit_path.exists()
+
+
+def test_spmf_with_whole_utilities_mines_the_same_as_qty(tmp_path):
+    # each utility is written as the digits of its quantity against a unit
+    # utility of 1, so the qty copy holds the same products and tus
+    spmf = parse_spmf_utility(stdio.StringIO(SAMPLE_SPMF))
+    write_quantity_profit(spmf, tmp_path / "s.qty", tmp_path / "s.profit")
+    qty = parse_quantity_profit(tmp_path / "s.qty", tmp_path / "s.profit")
+    for name, db in (("spmf", spmf), ("qty", qty)):
+        for maxlen in (1, 3):
+            results, _ = mine(db, MiningParams(0.1, 0.1, 1, maxlen))
+            write_results(results, db, tmp_path / f"{name}{maxlen}.out")
+    for maxlen in (1, 3):
+        assert (tmp_path / f"spmf{maxlen}.out").read_bytes() == (tmp_path / f"qty{maxlen}.out").read_bytes()
+    assert (tmp_path / "spmf3.out").read_bytes()
 
 
 def golden_results(db):

@@ -62,11 +62,11 @@ def test_uo_errors(sample_db):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda ab, tx, rdb: ruo_in_transaction(ab, tx, rdb), "transaction 1 does not contain"),
-        (lambda ab, tx, rdb: luo_in_transaction(ab, tx, rdb, 3), "transaction 1 does not contain"),
-        (lambda ab, tx, rdb: rruo_in_transaction(ab, tx, rdb, 3), "transaction 1 does not contain"),
-        (lambda ab, tx, rdb: ruo_of_pattern(ab, rdb), "no transaction contains pattern"),
-        (lambda ab, tx, rdb: rruo_of_pattern(ab, rdb, 3), "no transaction contains pattern"),
+        (lambda p, tx, rdb, cap: ruo_in_transaction(p, tx, rdb), "transaction 1 does not contain"),
+        (lambda p, tx, rdb, cap: luo_in_transaction(p, tx, rdb, cap), "transaction 1 does not contain"),
+        (lambda p, tx, rdb, cap: rruo_in_transaction(p, tx, rdb, cap), "transaction 1 does not contain"),
+        (lambda p, tx, rdb, cap: ruo_of_pattern(p, rdb), "no transaction contains pattern"),
+        (lambda p, tx, rdb, cap: rruo_of_pattern(p, rdb, cap), "no transaction contains pattern"),
     ],
     ids=[
         "ruo_in_transaction",
@@ -81,7 +81,16 @@ def test_tail_measure_errors(call, message):
     db = build_database([(1, {"a": 1}), (2, {"b": 1})], {"a": 1, "b": 1})
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     with pytest.raises(PatternNotSupportedError, match=message):
-        call(ids_of(db, "ab"), transaction(rdb, 1), rdb)
+        call(ids_of(db, "ab"), transaction(rdb, 1), rdb, 3)
+    # at threshold 2 the order drops b, so the original transaction 1
+    # answers as its revised copy, which lacks b, at any cap: a cap of 1
+    # leaves no slot, and the error still comes first
+    db = build_database([(1, {"a": 1, "b": 2}), (2, {"a": 1})], {"a": 1, "b": 1})
+    rdb = revise_database(db, build_total_order(support_counts(db), 2))
+    for tx in (transaction(db, 1), transaction(rdb, 1)):
+        for cap in (1, 3):
+            with pytest.raises(PatternNotSupportedError, match=message + r" \(1,\)$"):
+                call(ids_of(db, "b"), tx, rdb, cap)
 
 
 def test_ruo_in_transaction(sample_db, rdb):
@@ -213,21 +222,25 @@ def test_pattern_measures_are_left_to_right_means(db, min_sc, maxlen):
 @given(small_databases(), st.integers(1, 4))
 def test_measures_agree_on_original_and_revised_transactions(db, maxlen):
     # at threshold 2 revision drops items and whole transactions; the
-    # tail measures skip items outside the order, so the original
-    # transaction gives exactly what its revised counterpart gives
+    # tail measures skip items outside the order and take a pattern with
+    # one as absent, so the original transaction gives exactly the value
+    # or the error that its revised counterpart gives
+    def outcome(measure, *args):
+        try:
+            return measure(*args)
+        except PatternNotSupportedError as exc:
+            return str(exc)
+
     rdb = revise_database(db, build_total_order(support_counts(db), 2))
     original = {tx.tid: tx for tx in db.transactions}
     for revised in rdb.transactions:
         tx = original[revised.tid]
-        items = list(revised.entries)
+        items = list(tx.entries)
         for size in range(1, min(len(items), maxlen) + 1):
             for pattern in combinations(items, size):
-                assert ruo_in_transaction(pattern, tx, rdb) == ruo_in_transaction(
-                    pattern, revised, rdb
-                )
-                assert luo_in_transaction(pattern, tx, rdb, maxlen) == luo_in_transaction(
-                    pattern, revised, rdb, maxlen
-                )
-                assert rruo_in_transaction(pattern, tx, rdb, maxlen) == rruo_in_transaction(
-                    pattern, revised, rdb, maxlen
-                )
+                for measure, *args in (
+                    (ruo_in_transaction, rdb),
+                    (luo_in_transaction, rdb, maxlen),
+                    (rruo_in_transaction, rdb, maxlen),
+                ):
+                    assert outcome(measure, pattern, tx, *args) == outcome(measure, pattern, revised, *args)

@@ -24,6 +24,7 @@ from huopminer import (
     unconstrained_maxlen,
 )
 from huopminer import lists, search
+from huopminer.errors import InvalidDatabaseError
 from huopminer.measures import uo_of_pattern
 from huopminer.oracle import brute_force_mine
 from huopminer.search import length_upper_bound
@@ -287,21 +288,46 @@ def test_a_tie_at_minuo_is_decided_as_by_the_oracle():
             assert (got["efb"][1], want["efb"][1]) == (above, below)
 
 
-def test_a_share_above_one_is_never_gated():
+def test_a_share_above_one_is_refused():
     # no loader makes a tu below its entries' utilities, but a database
-    # built directly can: a's share 2.9 in the first transaction has no
-    # fixed-point planes, so the gate rejects no leaf with a, and "a b",
-    # whose exact uo is (3.0 + 0.1) / 2 = 1.55, is reported as by the oracle
+    # built directly can: a's share in the first transaction is 2.9.  The
+    # leaf gate's planes hold shares up to 1 alone, so the scan, where
+    # every share is made, refuses the database instead of mining it
     db = database_of(
         transactions=[Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)],
         utility_table={0: 1.0, 1: 1.0},
         item_labels=("a", "b"),
     )
-    params = MiningParams(0.5, 0.9, 1, 2)
-    got = results_by_label(db, mine(db, params)[0])
-    want = results_by_label(db, brute_force_mine(db, params))
-    assert {k: sup for k, (sup, _) in got.items()} == {k: sup for k, (sup, _) in want.items()}
-    assert got["ab"][1] == pytest.approx(want["ab"][1]) == pytest.approx(1.55)
+    message = "utility of transaction 1 is below that of item 'a'"
+    with pytest.raises(InvalidDatabaseError, match=message):
+        mine(db, MiningParams(0.5, 0.9, 1, 2))
+    with pytest.raises(InvalidDatabaseError, match=message):
+        build_initial_nodes(revise_database(db, build_total_order(support_counts(db), 1)), 2)
+
+
+def test_a_share_of_exactly_one_is_mined():
+    # a tu equal to its single entry's utility gives a share of exactly 1,
+    # the edge of the contract: the scan takes it, and the engine, the
+    # leaf gate included, reports what the oracle reports
+    db = database_of(
+        transactions=[
+            Transaction(1, {0: 7}, 21.0),
+            Transaction(2, {0: 1, 1: 2}, 5.0),
+            Transaction(3, {0: 2, 1: 1}, 7.0),
+            Transaction(4, {1: 4}, 4.0),
+        ],
+        utility_table={0: 3.0, 1: 1.0},
+        item_labels=("a", "b"),
+    )
+    rdb = revise_database(db, build_total_order(support_counts(db), 1))
+    assert sorted(max(node._columns[0]) for node in build_initial_nodes(rdb, 2)) == [1.0, 1.0]
+    for beta in (0.3, 0.7, 0.9, 1.0):
+        params = MiningParams(0.5, beta, 1, 2)
+        got = results_by_label(db, mine(db, params)[0])
+        want = results_by_label(db, brute_force_mine(db, params))
+        assert {k: sup for k, (sup, _) in got.items()} == {k: sup for k, (sup, _) in want.items()}
+        for k, (_, uo) in got.items():
+            assert uo == pytest.approx(want[k][1], abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
