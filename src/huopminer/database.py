@@ -75,7 +75,7 @@ class TransactionDatabase:
     with quantity ``quantities[e]``, in the order its row listed them.
     ``tus[p]`` is its utility, at least each of its entries' utilities as
     every loader sums it (:func:`~huopminer.search.mine` refuses a database
-    that breaks this), and ``tids[p]`` its id, a ``range`` when the ids are
+    in which an entry of a frequent item breaks this), and ``tids[p]`` its id, a ``range`` when the ids are
     ``1..n``.  ``items`` and ``quantities`` are as narrow as their
     values allow, down to one byte per entry, and read back exactly: see
     :func:`_columns`.  ``ends`` is four bytes wide, so a database holds at

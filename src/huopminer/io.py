@@ -29,7 +29,6 @@ import csv
 import math
 import random
 import sys
-from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -324,14 +323,12 @@ def write_quantity_profit(db: TransactionDatabase, tx_dest, profit_dest) -> None
     whole number, such as an spmf utility of 2.5, raises
     ``InvalidDatabaseError`` naming its transaction and item before either
     destination is opened."""
-    quantities = db.quantities
-    if not isinstance(quantities, array) or quantities.typecode in "fd":  # ints need no check
-        for e, qty in enumerate(quantities):
-            if qty % 1:  # a fraction, or nan for an infinite or nan quantity
-                tid, label = db.tids[bisect_right(db.ends, e)], db.item_labels[db.items[e]]
-                raise InvalidDatabaseError(
-                    f"quantity {qty!r} for item {label!r} in transaction {tid} is not a whole number"
-                )
+    for e, qty in enumerate(db.quantities):
+        if qty % 1:  # a fraction, or nan for an infinite or nan quantity
+            tid, label = db.tids[bisect_right(db.ends, e)], db.item_labels[db.items[e]]
+            raise InvalidDatabaseError(
+                f"quantity {qty!r} for item {label!r} in transaction {tid} is not a whole number"
+            )
     with _output(tx_dest) as out:
         for tx in db.transactions:
             pairs = " ".join(f"{db.item_labels[item]}:{int(qty)}" for item, qty in tx.entries.items())

@@ -249,8 +249,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     tu``, as the measures compute it.  No share exceeds 1, the contract
     :class:`LeafGate` rests on: every loader sums ``tu`` from these same
     nonnegative products, and a float sum is never below one of its terms.
-    A directly built database can break it; the scan then raises
-    ``InvalidDatabaseError`` naming the tid and the item.  Each entry at
+    A directly built database can break it, with a ``tu`` below an entry's
+    utility or not a number; the scan then raises ``InvalidDatabaseError``
+    naming the tid and the item.  Each entry at
     position ``p`` goes to its item's two compact ``array('d')`` columns,
     the share and the capped remainder, which keep no float object, and sets
     bit ``p`` of the item's mask, a bytearray of one bit per transaction,
@@ -284,9 +285,9 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
         for e in reversed(entries):
             item = items[e]
             share = quantities[e] * unit[item] / tu
-            if share > 1:  # the contract on shares, stated above
-                label = db.item_labels[item]
-                raise InvalidDatabaseError(f"utility of transaction {db.tids[p]} is below that of item {label!r}")
+            if not share <= 1:  # the contract on shares, stated above; refuses nan too
+                label, tid = db.item_labels[item], db.tids[p]
+                raise InvalidDatabaseError(f"share of item {label!r} in transaction {tid} is {share!r}, not at most 1")
             shares[item].append(share)
             rests[item].append(rest)
             masks[item][byte] |= bit

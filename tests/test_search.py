@@ -292,17 +292,17 @@ def test_a_share_above_one_is_refused():
     # no loader makes a tu below its entries' utilities, but a database
     # built directly can: a's share in the first transaction is 2.9.  The
     # leaf gate's planes hold shares up to 1 alone, so the scan, where
-    # every share is made, refuses the database instead of mining it
-    db = database_of(
-        transactions=[Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)],
-        utility_table={0: 1.0, 1: 1.0},
-        item_labels=("a", "b"),
-    )
-    message = "utility of transaction 1 is below that of item 'a'"
-    with pytest.raises(InvalidDatabaseError, match=message):
-        mine(db, MiningParams(0.5, 0.9, 1, 2))
-    with pytest.raises(InvalidDatabaseError, match=message):
-        build_initial_nodes(revise_database(db, build_total_order(support_counts(db), 1)), 2)
+    # every share is made, refuses the database instead of mining it.  A
+    # nan tu makes a nan share, which is refused the same way
+    above = [Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)]
+    not_a_number = [Transaction(1, {0: 2}, float("nan")), Transaction(2, {0: 1, 1: 1}, 2.0)]
+    for rows, share in ((above, "2.9"), (not_a_number, "nan")):
+        db = database_of(transactions=rows, utility_table={0: 1.0, 1: 1.0}, item_labels=("a", "b"))
+        message = f"share of item 'a' in transaction 1 is {share}, not at most 1"
+        with pytest.raises(InvalidDatabaseError, match=message):
+            mine(db, MiningParams(0.5, 0.9, 1, 2))
+        with pytest.raises(InvalidDatabaseError, match=message):
+            build_initial_nodes(revise_database(db, build_total_order(support_counts(db), 1)), 2)
 
 
 def test_a_share_of_exactly_one_is_mined():
