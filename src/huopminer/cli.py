@@ -6,12 +6,14 @@ brute-force reference), ``bench`` (sweep one parameter, emit stats CSV),
 
 Exit codes: 0 on success, 2 for anything the user can fix (bad flags,
 malformed datasets, refused oracle runs), 1 for internal errors and for
-a failed verification.  When results go to a file, stdout stays silent.
+a failed verification.  A closed stdout ends the run by ``SIGPIPE``, as
+it ends ``cat``.  When results go to a file, stdout stays silent.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import traceback
 
@@ -241,4 +243,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    if hasattr(signal, "SIGPIPE"):  # not in main, which may run inside another program
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

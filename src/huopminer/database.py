@@ -273,8 +273,8 @@ def _columns(
     one place every loader stores its transactions.  Each row's utility is
     checked as the row arrives, so errors stay in file order: it sums float
     products of positive numbers, which can overflow to infinity or
-    underflow to 0.  Tids are stored only once one is not its 1-based
-    position.
+    underflow to 0, and a row built directly can hold a NaN or negative
+    one.  Tids are stored only once one is not its 1-based position.
 
     Each per-entry column is stored at the narrowest width that holds it
     exactly.  Item ids take ``array('B')`` up to 256 labels and ``'i'``
@@ -296,10 +296,11 @@ def _columns(
     item_block: list[int] = []
     qty_block: list[float] = []
     for tid, by_id, tu in rows:
-        if tu == math.inf:  # a product past the float range, or an int beyond it
+        if not tu < math.inf:  # a product past the float range, an int beyond it, or nan
             raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
-        if tu == 0:  # products below the least positive float; shares divide by tu
-            raise InvalidDatabaseError(f"utility of transaction {tid} underflows to 0")
+        if not tu > 0:  # 0 from products below the least positive float; shares divide by tu
+            why = "underflows to 0" if tu == 0 else f"is {tu!r}, not positive"
+            raise InvalidDatabaseError(f"utility of transaction {tid} {why}")
         item_block.extend(by_id)
         qty_block.extend(by_id.values())
         ends.append(len(items) + len(item_block))

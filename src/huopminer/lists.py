@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator
-from functools import cache, reduce
+from functools import reduce
 from itertools import compress
 from math import ceil
 from operator import add
@@ -246,21 +246,21 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     transaction's entries of frequent items last rank first, reading each
     entry's item and quantity from the block columns that ``kept()`` yields
     with it and ``tu`` from the database; each share is ``quantity * unit /
-    tu``, as the measures compute it.  No share exceeds 1, the contract
-    :class:`LeafGate` rests on: every loader sums ``tu`` from these same
-    nonnegative products, and a float sum is never below one of its terms.
-    A directly built database can break it, with a ``tu`` below an entry's
-    utility or not a number; the scan then raises ``InvalidDatabaseError``
-    naming the tid and the item.  Each entry at
-    position ``p`` goes to its item's two compact ``array('d')`` columns,
-    the share and the capped remainder, which keep no float object, and sets
-    bit ``p`` of the item's mask, a bytearray of one bit per transaction,
-    dropped as its int is made; the nodes keep the columns until a kept join
-    reads their dicts.  The top shares seen so far are a short descending
-    list, appended to while it has room, else its smallest entry replaced by
-    a larger share; it is re-sorted and re-summed, largest first, only when
-    it changes, and not at all after the entry walked last, whose remainder
-    is already taken.
+    tu``, as the measures compute it.  No share exceeds 1, the contract the
+    planes of :func:`share_planes` rest on: every loader sums ``tu`` from
+    these same nonnegative products, and a float sum is never below one of
+    its terms.  A directly built database can break it, with a ``tu`` below
+    an entry's utility or not a number, or an int quantity past the float
+    range; the scan then raises ``InvalidDatabaseError`` naming the tid and
+    the item.  Each entry at position ``p`` goes to its item's two compact
+    ``array('d')`` columns, the share and the capped remainder, which keep
+    no float object, and sets bit ``p`` of the item's mask, a bytearray of
+    one bit per transaction, dropped as its int is made; the nodes keep the
+    columns until a kept join reads their dicts.  The top shares seen so far
+    are a short descending list, appended to while it has room, else its
+    smallest entry replaced by a larger share; it is re-sorted and
+    re-summed, largest first, only when it changes, and not at all after the
+    entry walked last, whose remainder is already taken.
     """
     if maxlen < 1:
         raise InvalidParamsError(f"maxlen must be at least 1, got {maxlen}")
@@ -276,32 +276,36 @@ def build_initial_nodes(rdb: RevisedDatabase, maxlen: int) -> tuple[PatternNode,
     slots = maxlen - 1
     source = (rdb, maxlen, [])
 
-    for p, entries, items, quantities in rdb.kept():
-        byte, bit = p >> 3, 1 << (p & 7)
-        tu = tus[p]
-        top: list[float] = []
-        rest = 0.0
-        first = entries[0]
-        for e in reversed(entries):
-            item = items[e]
-            share = quantities[e] * unit[item] / tu
-            if not share <= 1:  # the contract on shares, stated above; refuses nan too
-                label, tid = db.item_labels[item], db.tids[p]
-                raise InvalidDatabaseError(f"share of item {label!r} in transaction {tid} is {share!r}, not at most 1")
-            shares[item].append(share)
-            rests[item].append(rest)
-            masks[item][byte] |= bit
-            if e == first:  # no entry is left to take a remainder
-                break
-            if len(top) < slots:
-                top.append(share)
-            elif top and share > top[-1]:
-                top[-1] = share
-            else:
-                continue
-            if len(top) > 1 and share > top[-2]:  # only the new entry can be out of place
-                top.sort(reverse=True)
-            rest = sum(top)
+    try:
+        for p, entries, items, quantities in rdb.kept():
+            byte, bit = p >> 3, 1 << (p & 7)
+            tu = tus[p]
+            top: list[float] = []
+            rest = 0.0
+            first = entries[0]
+            for e in reversed(entries):
+                item = items[e]
+                share = quantities[e] * unit[item] / tu
+                if not share <= 1:  # the contract on shares, stated above; refuses nan too
+                    label, tid = db.item_labels[item], db.tids[p]
+                    raise InvalidDatabaseError(f"share of item {label!r} in transaction {tid} is {share!r}, not at most 1")
+                shares[item].append(share)
+                rests[item].append(rest)
+                masks[item][byte] |= bit
+                if e == first:  # no entry is left to take a remainder
+                    break
+                if len(top) < slots:
+                    top.append(share)
+                elif top and share > top[-1]:
+                    top[-1] = share
+                else:
+                    continue
+                if len(top) > 1 and share > top[-2]:  # only the new entry can be out of place
+                    top.sort(reverse=True)
+                rest = sum(top)
+    except OverflowError:  # an int quantity past the float range: its share is inf
+        label, tid = db.item_labels[item], db.tids[p]
+        raise InvalidDatabaseError(f"share of item {label!r} in transaction {tid} is inf, not at most 1") from None
 
     for item in rdb.order.items:  # each bytearray is freed as its int replaces it
         masks[item] = int.from_bytes(masks[item], "little")
@@ -344,35 +348,26 @@ def construct(
     return PatternNode(xa.pattern + (xb.pattern[-1],), uo_at, last, xb.rruo_at, bits, xb.source)
 
 
-# A share s is held in fixed point as ceil(s * 2**SCALE_BITS), so a leaf's
-# share sum is bounded from above by ANDs and popcounts over bit planes.
+# A share s weighs ceil(s * 2**SCALE_BITS) in fixed point, held less one, so
+# a leaf's share sum is bounded from above by ANDs and popcounts over planes.
 SCALE_BITS = 8
-
-
-@cache
-def _plane_table(j: int) -> bytes:
-    """A translate table: a byte to ASCII ``1`` if its bit ``j`` is set, else ``0``."""
-    return bytes(48 | (v >> j & 1) for v in range(256))
+# per plane j, a translate table: a byte to ASCII 1 if its bit j is set, else 0
+_PLANE_TABLES = tuple(bytes(48 | (v >> j & 1) for v in range(256)) for j in range(SCALE_BITS))
 
 
 def share_planes(node: PatternNode) -> list[int]:
-    """The ``SCALE_BITS + 1`` bit planes of a single-item node's fixed-point
-    shares: plane ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share *
-    2**SCALE_BITS)`` is set at position ``p``.  No share exceeds 1 (see
-    :func:`build_initial_nodes`), so a share above 255/256 weighs exactly
-    ``2**SCALE_BITS`` and sets the top plane alone."""
+    """The ``SCALE_BITS`` bit planes of a single-item node's shares: plane
+    ``j`` has bit ``p`` set when bit ``j`` of ``ceil(share * 2**SCALE_BITS) -
+    1``, the share's weight less one, is set at position ``p``; no share
+    exceeds 1 (see :func:`build_initial_nodes`).  A share that is not
+    positive, as one that underflowed to 0.0, is stored as 0: it weighs 1."""
     positions, shares, _ = node._read()
     scale = float(1 << SCALE_BITS)
     low = bytearray(node.bits.bit_length())
-    top = 0
     for p, share in zip(positions, shares):
-        w = ceil(share * scale)
-        if w >> SCALE_BITS:  # a share above 255/256: rare
-            top |= 1 << p
-        else:
-            low[p] = w
+        low[p] = ceil(share * scale) - 1 if share > 0.0 else 0
     low.reverse()  # int() reads the highest position first
-    return [int(low.translate(_plane_table(j)), 2) for j in range(SCALE_BITS)] + [top]
+    return [int(low.translate(table), 2) for table in _PLANE_TABLES]
 
 
 def _add_planes(a: list[int], b: list[int]) -> list[int]:
@@ -395,36 +390,35 @@ class LeafGate:
     of its items' shares.  For nonnegative shares it exceeds the exact mean
     by a factor of at most ``1 + γ`` with ``γ = m·u / (1 - m·u)``, ``m =
     L + sup`` and ``u = 2**-53``, and by twice that with the compensated
-    ``sum`` of CPython 3.12 and later.  The fixed-point sum ``total`` of
-    the leaf's items over its mask bounds the exact share sum from above,
+    ``sum`` of CPython 3.12 and later.  The sum ``total`` of the leaf's
+    items' weights over its mask bounds the exact share sum from above,
     so the leaf is rejected only when ``total·(1 + n·2**-52) < minuo·sup·
     2**SCALE_BITS`` with ``n = L + sup + 2``: ``n·2**-52 >= 2γ`` while
     ``m·(m + 2) <= 2**54``, so for any ``m`` up to ``2**26``.  The test is
     in integers, so a leaf at ``minuo`` is never rejected.
 
-    No share exceeds 1, so an item weighs at most ``2**SCALE_BITS`` at a
-    position and ``L`` items sum to at most ``L << SCALE_BITS``.  An
-    item's planes, built at its first leaf join whose mask passes, are
-    padded to the width ``L = len(nodes)`` needs, and a parent's items are
-    added once per parent.  A leaf under a parent of ``L`` items reads the
-    parent's sum and its own planes from level ``(L <<
-    SCALE_BITS).bit_length() - 1`` down, until the partial sum decides.
+    An item's planes hold each weight less one (see :func:`share_planes`),
+    and every position of the mask holds every item, so ``total`` starts at
+    ``L·sup``.  The planes, built at an item's first leaf join whose mask
+    passes, are padded to the width ``len(nodes)`` items need, and a
+    parent's items are added once per parent.  A leaf under a parent of
+    ``k`` items reads the parent's sum and its own planes from level ``(k
+    << SCALE_BITS).bit_length() - 1`` down, until the partial sum decides.
     """
 
-    __slots__ = ("_nodes", "_planes", "_width", "_num", "_den", "_parent", "_sums")
+    __slots__ = ("_nodes", "_planes", "_padding", "_num", "_den", "_parent", "_sums")
 
     def __init__(self, nodes: Iterable[PatternNode], minuo: float) -> None:
         self._nodes = {node.pattern[0]: node for node in nodes}
         self._planes: dict[int, list[int]] = {}
-        self._width = (len(self._nodes) << SCALE_BITS).bit_length()
+        self._padding = [0] * ((len(self._nodes) << SCALE_BITS).bit_length() - SCALE_BITS)
         self._num, self._den = minuo.as_integer_ratio()
         self._parent: Pattern = ()
         self._sums: list[int] = []
 
     def _item_planes(self, item: int) -> list[int]:
         if item not in self._planes:
-            planes = self._planes[item] = share_planes(self._nodes[item])
-            planes += [0] * (self._width - len(planes))
+            self._planes[item] = share_planes(self._nodes[item]) + self._padding
         return self._planes[item]
 
     def rejects(self, parent: Pattern, item: int, bits: int, sup: int) -> bool:
@@ -437,7 +431,7 @@ class LeafGate:
         # least total that cannot be rejected: the rule, solved for total
         n = len(parent) + 3 + sup
         limit = -(-(self._num * sup << SCALE_BITS + 52) // (self._den * ((1 << 52) + n)))
-        total = 0
+        total = (len(parent) + 1) * sup  # the planes hold each weight less one
         slack = 2 * sup  # each column adds below 2**j per position below level j
         for j in reversed(range((len(parent) << SCALE_BITS).bit_length())):
             total += ((bits & sums[j]).bit_count() + (bits & own[j]).bit_count()) << j

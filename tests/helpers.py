@@ -79,7 +79,7 @@ def database_of(transactions, utility_table, item_labels) -> TransactionDatabase
     """A database holding ``transactions`` as they are: their tids, their
     ``tu``s and their entries in their order, stored by ``database._columns``
     as every loader stores its rows.  A row is checked only as ``_columns``
-    checks every row, for a ``tu`` that is neither infinite nor 0."""
+    checks every row, for a ``tu`` that is finite and positive."""
     return _columns(((tx.tid, tx.entries, tx.tu) for tx in transactions), utility_table, item_labels)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -636,14 +637,16 @@ def test_threads_do_not_change_output(dataset, tmp_path):
     assert single.read_bytes() == pooled.read_bytes()
 
 
-def test_module_entrypoint(dataset, tmp_path):
-    # the child must import the same package as this test, installed or not
+def _child_env():
+    # a child must import the same package as this test, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
+
+def test_module_entrypoint(dataset, tmp_path):
     def child(argv):
         return subprocess.run([sys.executable, "-m", "huopminer", *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path})
+                              text=True, env=_child_env())
 
     out = tmp_path / "m.txt"
     proc = child(mine_args(dataset, "--maxlen", "3", "--output", str(out)))
@@ -654,3 +657,25 @@ def test_module_entrypoint(dataset, tmp_path):
     proc = child(["verify", *qty_args(dataset, "--minsup", "0.3", "--minuo", "0.3", "--maxlen", "3")])
     assert proc.returncode == 0
     assert proc.stdout == "MATCH: 18 patterns\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_run_as_it_ends_cat(tmp_path):
+    # a reader that stops early, as head does, closes the pipe while the
+    # results are still being written: the run ends by SIGPIPE, with
+    # nothing on stderr, instead of reporting a broken pipe as a user error
+    data = tmp_path / "d.qty"
+    assert cli.main(["gen", "--items", "40", "--transactions", "300", "--avg-len", "12",
+                     "--output", str(data)]) == 0
+    argv = ["mine", "--input", str(data), "--format", "qty", "--profit", f"{data}.profit",
+            "--minsup", "0.02", "--minuo", "0.05", "--maxlen", "3"]
+    out = tmp_path / "results.txt"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert out.stat().st_size > 1 << 18  # well past a pipe's buffer
+    proc = subprocess.Popen([sys.executable, "-m", "huopminer", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_child_env())
+    with proc.stderr:
+        with proc.stdout:
+            assert proc.stdout.readline()
+        assert proc.stderr.read() == b""
+    assert proc.wait() == -signal.SIGPIPE

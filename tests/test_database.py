@@ -364,6 +364,16 @@ def test_build_database_rejects_a_transaction_utility_that_underflows():
         build_database(rows, {"a": 1e-200, "b": 1})
 
 
+@pytest.mark.parametrize("tu, message", [(math.nan, "is not finite"), (-3.0, "is -3.0, not positive")])
+def test_the_columns_refuse_a_transaction_utility_that_is_nan_or_negative(tu, message):
+    # no loader sums such a tu, but a database built directly can hold one;
+    # a negative tu made every share of its row negative, and mine reported
+    # nothing instead of refusing the database
+    rows = [Transaction(1, {0: 2, 1: 1}, tu), Transaction(2, {0: 1, 1: 1}, 2.0)]
+    with pytest.raises(InvalidDatabaseError, match=f"^utility of transaction 1 {message}$"):
+        database_of(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+
+
 def test_build_database_numbers_and_checks_every_utility_entry():
     # an entry that no row lists is still an item: it gets an id in label
     # order, and a bad unit utility for it is refused

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ids_of, small_databases
+from helpers import ids_of, results_by_label, small_databases
 from huopminer import (
     MiningParams,
     build_database,
@@ -38,6 +38,7 @@ from huopminer.measures import (
     uo_in_transaction,
     uo_of_pattern,
 )
+from huopminer.oracle import brute_force_mine
 
 
 @pytest.fixture(scope="module")
@@ -532,12 +533,12 @@ def _plane_weights(planes, position):
 
 
 def test_share_planes_hold_each_share_rounded_up():
-    # position k of a single-item node's planes spells ceil(share * 2**K)
-    # in binary; a one-item transaction gives a share of exactly 1.0, the
-    # one weight of 2**K, and a unit utility of 1e-300 against 1e10 gives
-    # the subnormal share 1e-310, which still weighs 1.  Tid 3 keeps no
-    # frequent item, but positions number the parsed database: tid 4 is
-    # position 3
+    # position k of a single-item node's K planes spells its weight less
+    # one, ceil(share * 2**K) - 1, in binary; a one-item transaction gives
+    # a share of exactly 1.0, the largest weight 2**K, and a unit utility
+    # of 1e-300 against 1e10 gives the subnormal share 1e-310, which still
+    # weighs 1, so is stored as 0.  Tid 3 keeps no frequent item, but
+    # positions number the parsed database: tid 4 is position 3
     rows = [(1, {"a": 1}), (2, {"a": 1, "b": 1, "c": 1}), (3, {"d": 1}),
             (4, {"a": 3, "c": 1}), (5, {"a": 2, "b": 1})]
     db = build_database(rows, {"a": 7, "b": 1e-300, "c": 1e10, "d": 1})
@@ -550,24 +551,41 @@ def test_share_planes_hold_each_share_rounded_up():
     for label, node in labels.items():
         assert node._columns is not None
         planes = share_planes(node)  # read from the scan's columns
-        assert len(planes) == SCALE_BITS + 1
+        assert len(planes) == SCALE_BITS
         for p, share in node.uo_at.items():  # builds the dicts
             tid = db.transactions[p].tid
             assert positions[tid] == p
-            assert _plane_weights(planes, p) == math.ceil(share * 2**SCALE_BITS)
+            assert _plane_weights(planes, p) == math.ceil(share * 2**SCALE_BITS) - 1
             shares[label, tid] = share
         assert share_planes(node) == planes  # read from the dicts
         unset = set(range(5)) - set(node.uo_at)
         assert all(_plane_weights(planes, k) == 0 for k in unset)
-    assert shares["a", 1] == 1.0 and _plane_weights(share_planes(labels["a"]), 0) == 2**SCALE_BITS
+    assert shares["a", 1] == 1.0 and _plane_weights(share_planes(labels["a"]), 0) == 2**SCALE_BITS - 1
     assert 0 < shares["b", 2] < 2.2250738585072014e-308  # subnormal
-    assert _plane_weights(share_planes(labels["b"]), 1) == 1
+    assert _plane_weights(share_planes(labels["b"]), 1) == 0
     # a share above 255/256 that is not 1.0 weighs 2**K too: 1000/1001
     db = build_database([(1, {"x": 1, "y": 1})], {"x": 1000, "y": 1})
     nodes = build_initial_nodes(revise_database(db, build_total_order(support_counts(db), 1)), 2)
     x, y = sorted(nodes, key=lambda n: db.labels_of(n.pattern))
     assert x.uo == 1000 / 1001
-    assert [_plane_weights(share_planes(n), 0) for n in (x, y)] == [2**SCALE_BITS, 1]
+    assert [_plane_weights(share_planes(n), 0) for n in (x, y)] == [2**SCALE_BITS - 1, 0]
+
+
+def test_a_share_of_exactly_zero_weighs_one():
+    # a's share, 1e-300 / (1e-300 + 1e100), underflows to 0.0: the planes
+    # store it as 0, a weight of 1, which bounds it from above, so the
+    # leaf gate still lets ab, whose uo is 1.0, through
+    db = build_database([(1, {"a": 1, "b": 1}), (2, {"a": 1, "b": 1})], {"a": 1e-300, "b": 1e100})
+    rdb = revise_database(db, build_total_order(support_counts(db), 2))
+    a, b = sorted(build_initial_nodes(rdb, 2), key=lambda n: db.labels_of(n.pattern))
+    assert list(a._columns[0]) == [0.0, 0.0] and list(b._columns[0]) == [1.0, 1.0]
+    assert [_plane_weights(share_planes(a), p) for p in (0, 1)] == [0, 0]
+    assert LeafGate([a, b], 1.0).rejects(a.pattern, b.pattern[0], a.bits & b.bits, 2) is False
+    for minuo in (0.5, 1.0):
+        params = MiningParams(1.0, minuo, 1, 2)
+        got = results_by_label(db, mine(db, params)[0])
+        assert got == results_by_label(db, brute_force_mine(db, params))
+        assert got["ab"] == (2, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -627,12 +645,12 @@ def test_leaf_gate_keeps_leaves_within_the_proved_margin():
 def test_the_leaf_gate_answers_by_its_integer_rule(db, data):
     # one gate answers leaves under parents of several lengths, each
     # answer exactly the rule its docstring states: with total the sum
-    # over the mask of the leaf's items' ceil(share * 2**K), the leaf is
-    # rejected iff total * den * (2**52 + n) < num * sup * 2**(K + 52),
-    # n = L + sup + 2 and num/den = minuo.  Unit utilities far apart give
-    # shares above 255/256 in rows of several items, and minuo is often
-    # drawn within a few ulps of a leaf's turning point, where a lost
-    # carry or plane shows
+    # over the mask of the leaf's items' weights, ceil(share * 2**K) for
+    # a positive share and 1 for any other, the leaf is rejected iff
+    # total * den * (2**52 + n) < num * sup * 2**(K + 52), n = L + sup + 2
+    # and num/den = minuo.  Unit utilities far apart give shares above
+    # 255/256 in rows of several items, and minuo is often drawn within a
+    # few ulps of a leaf's turning point, where a lost carry or plane shows
     rdb = revise_database(db, build_total_order(support_counts(db), 1))
     nodes = build_initial_nodes(rdb, 2)
     masks = {node.pattern[0]: node.bits for node in nodes}
@@ -645,11 +663,12 @@ def test_the_leaf_gate_answers_by_its_integer_rule(db, data):
         for item in data.draw(st.lists(st.sampled_from(rest), min_size=1, unique=True)):
             leaf = parent + (item,)
             bits = reduce(operator.and_, map(masks.get, leaf))
-            total = sum(
-                math.ceil(uo_in_transaction((i,), db.transactions[p], db.utility_table) * 2**SCALE_BITS)
+            shares = [
+                uo_in_transaction((i,), db.transactions[p], db.utility_table)
                 for p in range(db.size) if bits >> p & 1
                 for i in leaf
-            )
+            ]
+            total = sum(math.ceil(share * 2**SCALE_BITS) if share > 0 else 1 for share in shares)
             leaves.append((parent, item, bits, bits.bit_count(), total))
 
     turning = [(total, sup, len(parent) + 3 + sup) for parent, _, _, sup, total in leaves if sup]

@@ -1,7 +1,10 @@
 """Search engine: bounds, golden results, length window, stats."""
 
+import dataclasses
 import inspect
+import math
 import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -292,12 +295,16 @@ def test_a_share_above_one_is_refused():
     # no loader makes a tu below its entries' utilities, but a database
     # built directly can: a's share in the first transaction is 2.9.  The
     # leaf gate's planes hold shares up to 1 alone, so the scan, where
-    # every share is made, refuses the database instead of mining it.  A
-    # nan tu makes a nan share, which is refused the same way
-    above = [Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)]
-    not_a_number = [Transaction(1, {0: 2}, float("nan")), Transaction(2, {0: 1, 1: 1}, 2.0)]
-    for rows, share in ((above, "2.9"), (not_a_number, "nan")):
-        db = database_of(transactions=rows, utility_table={0: 1.0, 1: 1.0}, item_labels=("a", "b"))
+    # every share is made, refuses the database instead of mining it.  An
+    # int quantity past the float range has an infinite share, refused the
+    # same way.  A nan tu makes a nan share: the columns refuse such a tu,
+    # so that database is built with the constructor, which checks nothing
+    items = {"utility_table": {0: 1.0, 1: 1.0}, "item_labels": ("a", "b")}
+    above = database_of([Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)], **items)
+    overflowing = database_of([Transaction(1, {0: int("7" * 400), 1: 1}, 3.0)], **items)
+    finite = database_of([Transaction(1, {0: 2}, 2.0), Transaction(2, {0: 1, 1: 1}, 2.0)], **items)
+    not_a_number = dataclasses.replace(finite, tus=array("d", [math.nan, 2.0]))
+    for db, share in ((above, "2.9"), (overflowing, "inf"), (not_a_number, "nan")):
         message = f"share of item 'a' in transaction 1 is {share}, not at most 1"
         with pytest.raises(InvalidDatabaseError, match=message):
             mine(db, MiningParams(0.5, 0.9, 1, 2))
