@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True, type=int, help="vocabulary size")
     p.add_argument("--transactions", required=True, type=int, help="number of transactions")
     p.add_argument("--avg-len", required=True, type=int, help="average transaction length")
-    spec = dataio.GeneratorSpec
+    spec = dataio.GeneratorSpec(1, 1, 1)  # the least spec: its other fields are the defaults
     p.add_argument("--max-quantity", type=int, default=spec.max_quantity,
                    help="quantity cap (default %(default)s)")
     p.add_argument("--max-utility", type=int, default=spec.max_unit_utility,

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import repeat
+from operator import gt
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidDatabaseError, InvalidParamsError
 
@@ -42,8 +44,7 @@ _BLOCK_TRANSACTIONS = 4096
 _BLOCK_ENTRIES = 1024
 
 
-@dataclass(frozen=True)
-class HUOPResult:
+class HUOPResult(NamedTuple):
     """One reported pattern with its support count and mean occupancy."""
 
     pattern: Pattern
@@ -51,8 +52,7 @@ class HUOPResult:
     uo: float
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
+class Transaction(NamedTuple):
     """One transaction: ``entries`` maps item id to quantity.
 
     In ``RevisedDatabase.transactions`` the entry order is meaningful
@@ -65,8 +65,35 @@ class Transaction:
     tu: float
 
 
-@dataclass(frozen=True)
-class TransactionDatabase:
+class _Frozen:
+    """A record whose ``__init__`` writes each field named in ``_fields``
+    once, straight into the instance ``__dict__``.  The fields compare and
+    print as a frozen dataclass's do, and assigning or deleting any
+    attribute raises ``AttributeError``.  A ``cached_property`` still
+    caches, as it too writes the ``__dict__``."""
+
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TransactionDatabase(_Frozen):
     """The transactions as flat columns in CSR (compressed sparse row)
     layout, plus the unit-utility table.
 
@@ -91,6 +118,11 @@ class TransactionDatabase:
     tids: Sequence[int]
     utility_table: Mapping[int, float]
     item_labels: tuple[str, ...]
+
+    _fields = ("items", "quantities", "ends", "tus", "tids", "utility_table", "item_labels")
+
+    def __init__(self, items, quantities, ends, tus, tids, utility_table, item_labels) -> None:
+        vars(self).update(zip(self._fields, (items, quantities, ends, tus, tids, utility_table, item_labels)))
 
     @property
     def size(self) -> int:
@@ -131,8 +163,7 @@ class _Transactions(Sequence[Transaction]):
         )
 
 
-@dataclass(frozen=True)
-class TotalOrder:
+class TotalOrder(NamedTuple):
     """The processing order over frequent items: ascending support count,
     ties broken by ascending item id."""
 
@@ -140,8 +171,7 @@ class TotalOrder:
     rank: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class RevisedDatabase:
+class RevisedDatabase(_Frozen):
     """A view of ``database`` through ``order``: infrequent items stripped,
     the rest sorted by the order, transactions left empty dropped.
 
@@ -154,6 +184,11 @@ class RevisedDatabase:
 
     database: TransactionDatabase
     order: TotalOrder
+
+    _fields = ("database", "order")
+
+    def __init__(self, database, order) -> None:
+        vars(self).update(zip(self._fields, (database, order)))
 
     def kept(self) -> Iterator[tuple[int, list[int], array[int], array[int] | list[float]]]:
         """Each original transaction that keeps a frequent item, as its
@@ -201,31 +236,32 @@ class RevisedDatabase:
         )
 
 
-@dataclass(frozen=True)
-class MiningParams:
+class MiningParams(namedtuple("MiningParams", "alpha beta minlen maxlen")):
     """Thresholds and length window for one mining run.
 
     ``alpha`` is the minimum support ratio, ``beta`` the minimum
     utility-occupancy, and patterns are reported only when their length
-    falls within ``[minlen, maxlen]``.
+    falls within ``[minlen, maxlen]``.  A named tuple, checked however it
+    is made: by the constructor, ``_make`` or ``_replace``.
     """
 
-    alpha: float
-    beta: float
-    minlen: int
-    maxlen: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidParamsError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 < self.beta <= 1.0:
-            raise InvalidParamsError(f"beta must be in (0, 1], got {self.beta}")
-        if not isinstance(self.minlen, int) or not isinstance(self.maxlen, int):
+    def __new__(cls, alpha: float, beta: float, minlen: int, maxlen: int) -> MiningParams:
+        if not 0.0 < alpha <= 1.0:
+            raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
+        if not 0.0 < beta <= 1.0:
+            raise InvalidParamsError(f"beta must be in (0, 1], got {beta}")
+        if not isinstance(minlen, int) or not isinstance(maxlen, int):
             raise InvalidParamsError("minlen and maxlen must be integers")
-        if not 1 <= self.minlen <= self.maxlen:
-            raise InvalidParamsError(
-                f"need 1 <= minlen <= maxlen, got minlen={self.minlen} maxlen={self.maxlen}"
-            )
+        if not 1 <= minlen <= maxlen:
+            raise InvalidParamsError(f"need 1 <= minlen <= maxlen, got minlen={minlen} maxlen={maxlen}")
+        return super().__new__(cls, alpha, beta, minlen, maxlen)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> MiningParams:
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
 
 def min_support_count(alpha: float, db_size: int) -> int:
@@ -273,19 +309,23 @@ def _columns(
     one place every loader stores its transactions.  Each row's utility is
     checked as the row arrives, so errors stay in file order: it sums float
     products of positive numbers, which can overflow to infinity or
-    underflow to 0, and a row built directly can hold a NaN or negative
-    one.  Tids are stored only once one is not its 1-based position.
+    underflow to 0, and a row built directly can hold a NaN, negative or
+    int one past the float range.  Every loader refuses a quantity that is
+    not positive, NaN included; a row built directly can hold one, so each
+    block of quantities is checked as it is stored (see :func:`_stored`),
+    and the first such entry is refused, naming its transaction and item.
+    Tids are stored only once one is not its 1-based position.
 
     Each per-entry column is stored at the narrowest width that holds it
     exactly.  Item ids take ``array('B')`` up to 256 labels and ``'i'``
     beyond.  Quantities start in ``array('B')`` and widen once to a list
     at anything it cannot hold: an int past 255, a float such as an spmf
-    utility, a Fraction.  An infinite quantity never reaches a column:
-    its row's utility is not finite, and the row is rejected.  Reading an
-    entry back gives a number equal to the one stored, of its type;
-    anything else that ``'B'`` takes as an integer, such as ``True``,
-    comes back as the int it equals.  The rows' entries are buffered in
-    lists and stored once ``_BLOCK_ENTRIES`` have come, as
+    utility, a Fraction.  A loader's infinite quantity never reaches a
+    column: its row's utility is not finite, and the row is rejected.
+    Reading an entry back gives a number equal to the one stored, of its
+    type; anything else that ``'B'`` takes as an integer, such as
+    ``True``, comes back as the int it equals.  The rows' entries are
+    buffered in lists and stored once ``_BLOCK_ENTRIES`` have come, as
     ``array.fromlist`` stores a list faster than ``extend`` stores a row,
     and leaves the column as it was when a value does not fit."""
     n = len(labels)
@@ -296,6 +336,10 @@ def _columns(
     item_block: list[int] = []
     qty_block: list[float] = []
     for tid, by_id, tu in rows:
+        try:
+            tus.append(tu)
+        except OverflowError:  # an int past the float range
+            tu = math.inf
         if not tu < math.inf:  # a product past the float range, an int beyond it, or nan
             raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
         if not tu > 0:  # 0 from products below the least positive float; shares divide by tu
@@ -304,34 +348,53 @@ def _columns(
         item_block.extend(by_id)
         qty_block.extend(by_id.values())
         ends.append(len(items) + len(item_block))
-        tus.append(tu)
         if tids is not None:
             tids.append(tid)
         elif tid != len(tus):
             tids = [*range(1, len(tus)), tid]
         if len(item_block) >= _BLOCK_ENTRIES:
             items.fromlist(item_block)
-            quantities = _stored(quantities, qty_block)
+            quantities = _stored(quantities, qty_block, item_block, ends, tids, labels)
             item_block, qty_block = [], []
     items.fromlist(item_block)
-    quantities = _stored(quantities, qty_block)
+    quantities = _stored(quantities, qty_block, item_block, ends, tids, labels)
     if tids is None:
         tids = range(1, len(tus) + 1)
     return TransactionDatabase(items, quantities, ends, tus, tids, table, labels)
 
 
 def _stored(
-    column: array[int] | list[float], values: list[float]
+    column: array[int] | list[float],
+    values: list[float],
+    item_block: list[int],
+    ends: array[int],
+    tids: list[int] | None,
+    labels: tuple[str, ...],
 ) -> array[int] | list[float]:
-    """``column`` with ``values`` appended, widened from ``array('B')`` to
-    a list if they need it; see :func:`_columns`."""
+    """``column`` with a block's ``values`` appended, widened from
+    ``array('B')`` to a list if they need it; see :func:`_columns`.  The
+    first value that is not positive is refused, named by its item, of
+    ``item_block``, and its transaction.  Stored in ``array('B')``, only a
+    0 can be one, so the block's bytes are searched for a 0; a list is
+    compared with 0 in C, and walked value by value only to find the one
+    that fails."""
+    first = len(column)  # the block's first entry
     if isinstance(column, array):
         try:
             column.fromlist(values)
-            return column
         except (OverflowError, TypeError):  # the column is left as it was
             column = column.tolist()  # ints up to 255, each one cached object
-    column.extend(values)
+    if isinstance(column, array):
+        bad = column[first:].tobytes().find(0)
+    else:
+        column.extend(values)
+        bad = -1 if all(map(gt, values, repeat(0))) else next(k for k, qty in enumerate(values) if not qty > 0)
+    if bad >= 0:
+        p = bisect_right(ends, first + bad)
+        raise InvalidDatabaseError(
+            f"quantity for item {labels[item_block[bad]]!r} in transaction {p + 1 if tids is None else tids[p]}"
+            f" must be positive, got {values[bad]!r}"
+        )
     return column
 
 

@@ -30,8 +30,8 @@ import math
 import random
 import sys
 from bisect import bisect_right
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .database import HUOPResult, TransactionDatabase, build_database
@@ -228,25 +228,31 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
 # ---------------------------------------------------------------------------
 # synthetic data
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(
+    namedtuple("GeneratorSpec", "n_items n_transactions avg_transaction_len max_quantity max_unit_utility seed")
+):
     """Shape of a synthetic database; the same spec always produces the
-    same database."""
+    same database.  A named tuple, checked however it is made: by the
+    constructor, ``_make`` or ``_replace``."""
 
-    n_items: int
-    n_transactions: int
-    avg_transaction_len: int
-    max_quantity: int = 5
-    max_unit_utility: int = 10
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_items < 1 or self.n_transactions < 1:
+    def __new__(cls, n_items: int, n_transactions: int, avg_transaction_len: int,
+                max_quantity: int = 5, max_unit_utility: int = 10, seed: int = 0) -> GeneratorSpec:
+        if n_items < 1 or n_transactions < 1:
             raise InvalidParamsError("need at least one item and one transaction")
-        if not 1 <= self.avg_transaction_len <= self.n_items:
+        if not 1 <= avg_transaction_len <= n_items:
             raise InvalidParamsError("avg_transaction_len must be in [1, n_items]")
-        if self.max_quantity < 1 or self.max_unit_utility < 1:
+        if max_quantity < 1 or max_unit_utility < 1:
             raise InvalidParamsError("max_quantity and max_unit_utility must be >= 1")
+        return super().__new__(
+            cls, n_items, n_transactions, avg_transaction_len, max_quantity, max_unit_utility, seed
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> GeneratorSpec:
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
 
 def generate_synthetic(spec: GeneratorSpec) -> TransactionDatabase:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .database import (
     HUOPResult,
@@ -42,8 +42,7 @@ from .database import (
 from .lists import LeafGate, PatternNode, build_initial_nodes, construct, length_upper_bound
 
 
-@dataclass
-class SearchStats:
+class SearchStats(SimpleNamespace):
     """Counters describing one mining run.
 
     ``visited_nodes`` counts every node whose summary the search reads,
@@ -54,15 +53,14 @@ class SearchStats:
     leaf the gate proved below ``minuo``.  ``lub_prunes`` counts the
     subtrees cut by the bound.  The first three are taken once per frame
     of the walk, from list lengths.  ``support_prunes`` is always 0;
-    perfbench still reports it.
+    perfbench still reports it.  The counters compare and print as a
+    namespace's attributes do.
     """
 
-    visited_nodes: int = 0
-    constructions: int = 0
-    lub_prunes: int = 0
-    support_prunes: int = 0
-    early_aborts: int = 0
-    runtime_ms: int = 0
+    def __init__(self, visited_nodes: int = 0, constructions: int = 0, lub_prunes: int = 0,
+                 support_prunes: int = 0, early_aborts: int = 0, runtime_ms: int = 0) -> None:
+        super().__init__(visited_nodes=visited_nodes, constructions=constructions, lub_prunes=lub_prunes,
+                         support_prunes=support_prunes, early_aborts=early_aborts, runtime_ms=runtime_ms)
 
 
 def search_subtree(

@@ -659,6 +659,15 @@ def test_module_entrypoint(dataset, tmp_path):
     assert proc.stdout == "MATCH: 18 patterns\n"
 
 
+def test_the_import_loads_neither_dataclasses_nor_inspect():
+    # each costs every run milliseconds at startup, inspect's own imports
+    # most of them; -S keeps site's .pth files, which may import either,
+    # out of the child
+    code = "import sys, huopminer; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
 def test_a_closed_stdout_ends_the_run_as_it_ends_cat(tmp_path):
     # a reader that stops early, as head does, closes the pipe while the

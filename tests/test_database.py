@@ -1,6 +1,6 @@
 """Database model: tu computation, support counts, ordering, revision."""
 
-import dataclasses
+import copy
 import io
 import math
 from fractions import Fraction
@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_ROWS, SAMPLE_TUS, database_of, small_databases, transaction
+from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, SAMPLE_TUS, database_of, small_databases, transaction
 from huopminer import (
+    GeneratorSpec,
+    HUOPResult,
     MiningParams,
+    TotalOrder,
     Transaction,
     build_database,
     build_total_order,
@@ -151,7 +154,7 @@ def test_revision_is_a_view_of_the_database(sample_db):
 def test_transaction_is_slotted_and_frozen():
     tx = Transaction(tid=1, entries={0: 2}, tu=4.0)
     assert not hasattr(tx, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tx.tu = 5.0
     assert tx == Transaction(1, {0: 2}, 4.0)
     assert tx != Transaction(1, {0: 2}, 5.0)
@@ -364,14 +367,110 @@ def test_build_database_rejects_a_transaction_utility_that_underflows():
         build_database(rows, {"a": 1e-200, "b": 1})
 
 
-@pytest.mark.parametrize("tu, message", [(math.nan, "is not finite"), (-3.0, "is -3.0, not positive")])
+@pytest.mark.parametrize(
+    "tu, message",
+    [
+        (math.nan, "is not finite"),
+        pytest.param(10**400, "is not finite", id="10**400-is not finite"),
+        (-3.0, "is -3.0, not positive"),
+    ],
+)
 def test_the_columns_refuse_a_transaction_utility_that_is_nan_or_negative(tu, message):
     # no loader sums such a tu, but a database built directly can hold one;
     # a negative tu made every share of its row negative, and mine reported
-    # nothing instead of refusing the database
+    # nothing instead of refusing the database.  An int past the float
+    # range compares below inf, and storing it raised a bare OverflowError
     rows = [Transaction(1, {0: 2, 1: 1}, tu), Transaction(2, {0: 1, 1: 1}, 2.0)]
     with pytest.raises(InvalidDatabaseError, match=f"^utility of transaction 1 {message}$"):
         database_of(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+
+
+@pytest.mark.parametrize("qty", [-2, 0, math.nan])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "after"])
+def test_the_columns_refuse_a_quantity_that_is_not_positive(qty, first):
+    # every loader refuses such a quantity, but a database built directly
+    # can hold one: mine and the oracle both mined a's negative share of
+    # -2/7 silently.  A 0 leaves the quantities one byte wide, -2 and nan
+    # widen them to a list; the bad entry comes first, or after a row whose
+    # tid is not its position
+    bad, good = {0: qty, 1: 5}, {0: 1, 1: 1}
+    if first:
+        rows, tid = [Transaction(1, bad, 7.0), Transaction(2, good, 2.0)], 1
+    else:
+        rows, tid = [Transaction(3, good, 2.0), Transaction(8, bad, 7.0)], 8
+    message = f"^quantity for item 'a' in transaction {tid} must be positive, got {qty!r}$"
+    with pytest.raises(InvalidDatabaseError, match=message):
+        database_of(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+
+
+_RECORDS = {
+    "HUOPResult": (HUOPResult, ((0, 1), 3, 0.5), ((0, 1), 3, 0.25)),
+    "Transaction": (Transaction, (1, {0: 2}, 4.0), (1, {0: 2}, 5.0)),
+    "TotalOrder": (TotalOrder, ((1, 0), {1: 0, 0: 1}), ((0, 1), {0: 0, 1: 1})),
+    "MiningParams": (MiningParams, (0.1, 0.2, 1, 3), (0.1, 0.2, 1, 2)),
+    "GeneratorSpec": (GeneratorSpec, (9, 40, 3, 5, 10, 0), (9, 40, 3, 5, 10, 1)),
+}
+
+
+@pytest.mark.parametrize("cls, fields, other", _RECORDS.values(), ids=_RECORDS)
+def test_records_are_named_tuples_that_refuse_assignment(cls, fields, other):
+    record = cls(*fields)
+    assert record == cls(*fields) == fields
+    assert record != cls(*other)
+    assert tuple(getattr(record, name) for name in cls._fields) == fields
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[-1], fields[-1])
+
+
+_VALID = {"MiningParams": MiningParams(0.1, 0.2, 1, 3), "GeneratorSpec": GeneratorSpec(9, 40, 3)}
+_COPIES = {
+    "constructor": lambda record, **change: type(record)(**{**record._asdict(), **change}),
+    "_replace": lambda record, **change: record._replace(**change),
+    "_make": lambda record, **change: type(record)._make({**record._asdict(), **change}.values()),
+    "copy.replace": pytest.param(
+        lambda record, **change: copy.replace(record, **change),
+        marks=pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in 3.13"),
+    ),
+}
+
+
+_BAD_FIELDS = {
+    "alpha": ("MiningParams", {"alpha": 0.0}, r"alpha must be in \(0, 1\], got 0.0"),
+    "beta": ("MiningParams", {"beta": 1.5}, r"beta must be in \(0, 1\], got 1.5"),
+    "maxlen": ("MiningParams", {"maxlen": 2.0}, "minlen and maxlen must be integers"),
+    "minlen": ("MiningParams", {"minlen": 4}, "need 1 <= minlen <= maxlen, got minlen=4 maxlen=3"),
+    "n_transactions": ("GeneratorSpec", {"n_transactions": 0}, "need at least one item and one transaction"),
+    "avg_transaction_len": (
+        "GeneratorSpec", {"avg_transaction_len": 10}, r"avg_transaction_len must be in \[1, n_items\]"
+    ),
+    "max_quantity": ("GeneratorSpec", {"max_quantity": 0}, "max_quantity and max_unit_utility must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("make", _COPIES.values(), ids=_COPIES)
+@pytest.mark.parametrize("name, change, message", _BAD_FIELDS.values(), ids=_BAD_FIELDS)
+def test_checked_records_refuse_bad_fields_however_made(make, name, change, message):
+    # namedtuple's _make and _replace build the tuple without __new__
+    with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+        make(_VALID[name], **change)
+    assert make(_VALID[name]) == _VALID[name]
+
+
+def test_databases_compare_by_fields_and_refuse_assignment(sample_db):
+    db = build_database(SAMPLE_ROWS, SAMPLE_PROFITS)
+    assert db == sample_db != build_database(SAMPLE_ROWS[1:], SAMPLE_PROFITS)
+    order = build_total_order(support_counts(db), 3)
+    rdb = revise_database(db, order)
+    assert rdb == revise_database(sample_db, order) != revise_database(db, build_total_order(support_counts(db), 6))
+    assert repr(rdb) == f"RevisedDatabase(database={db!r}, order={order!r})"
+    assert repr(db).startswith("TransactionDatabase(items=array('B', [0, 1, 2, 3, 4, 0, 1, 2, 4, ")
+    for record in (db, rdb):
+        with pytest.raises(AttributeError):
+            record.transactions = ()
+        with pytest.raises(AttributeError):
+            del record.transactions
+    assert db.transactions is db.transactions and rdb.transactions is rdb.transactions
 
 
 def test_build_database_numbers_and_checks_every_utility_entry():

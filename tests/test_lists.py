@@ -1,7 +1,6 @@
 """Occupancy-list structures: initial build, joins, early aborts, and
 agreement with the direct-scan measures."""
 
-import dataclasses
 import io
 import math
 import operator
@@ -120,8 +119,8 @@ def _scan_and_mine(db, alpha, maxlen):
     dicts = [(n.uo_at, n.rruo_at) for n in nodes]
     log = []
     results, stats = mine(db, MiningParams(alpha, 0.2, 1, maxlen), bound_log=log)
-    counters = dataclasses.asdict(stats)
-    del counters["runtime_ms"]
+    counters = (stats.visited_nodes, stats.constructions, stats.lub_prunes, stats.support_prunes,
+                stats.early_aborts)
     return (
         columns,
         dicts,

@@ -1,6 +1,5 @@
 """Search engine: bounds, golden results, length window, stats."""
 
-import dataclasses
 import inspect
 import math
 import sys
@@ -16,6 +15,7 @@ from helpers import GOLDEN_18, database_of, ids_of, joined_labels, results_by_la
 from huopminer import (
     MiningParams,
     Transaction,
+    TransactionDatabase,
     build_database,
     build_initial_nodes,
     build_total_order,
@@ -303,7 +303,10 @@ def test_a_share_above_one_is_refused():
     above = database_of([Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)], **items)
     overflowing = database_of([Transaction(1, {0: int("7" * 400), 1: 1}, 3.0)], **items)
     finite = database_of([Transaction(1, {0: 2}, 2.0), Transaction(2, {0: 1, 1: 1}, 2.0)], **items)
-    not_a_number = dataclasses.replace(finite, tus=array("d", [math.nan, 2.0]))
+    not_a_number = TransactionDatabase(
+        finite.items, finite.quantities, finite.ends, array("d", [math.nan, 2.0]),
+        finite.tids, finite.utility_table, finite.item_labels,
+    )
     for db, share in ((above, "2.9"), (overflowing, "inf"), (not_a_number, "nan")):
         message = f"share of item 'a' in transaction 1 is {share}, not at most 1"
         with pytest.raises(InvalidDatabaseError, match=message):
