@@ -39,8 +39,9 @@ Pattern = tuple[int, ...]
 # the item and quantity columns and its place column live at one time.
 _BLOCK_TRANSACTIONS = 4096
 
-# Entries _columns() buffers in two lists before it stores them, about
-# 20 kB: a fixed cost beside the columns, whatever the rows' lengths.
+# Entries the TransactionDatabase constructor buffers in two lists before
+# it stores them, about 20 kB: a fixed cost beside the columns, whatever
+# the rows' lengths.
 _BLOCK_ENTRIES = 1024
 
 
@@ -95,20 +96,51 @@ class _Frozen:
 
 class TransactionDatabase(_Frozen):
     """The transactions as flat columns in CSR (compressed sparse row)
-    layout, plus the unit-utility table.
+    layout, plus the unit-utility table, built from id-keyed
+    ``(tid, {item: quantity}, tu)`` rows, any iterable read once, such as
+    a :class:`Transaction` sequence: every loader and
+    :func:`build_database` stores its rows here, and
+    ``TransactionDatabase(db.transactions, db.utility_table,
+    db.item_labels) == db``.
 
+    ``utility_table`` maps each item id to its unit utility, stored as a
+    float; ``item_labels[i]`` is the external label of item id ``i``.
     Transaction ``p``, 0-based, is the run of entries from ``ends[p - 1]``
     (0 for the first) up to ``ends[p]``: entry ``e`` is item ``items[e]``
     with quantity ``quantities[e]``, in the order its row listed them.
     ``tus[p]`` is its utility, at least each of its entries' utilities as
     every loader sums it (:func:`~huopminer.search.mine` refuses a database
-    in which an entry of a frequent item breaks this), and ``tids[p]`` its id, a ``range`` when the ids are
-    ``1..n``.  ``items`` and ``quantities`` are as narrow as their
-    values allow, down to one byte per entry, and read back exactly: see
-    :func:`_columns`.  ``ends`` is four bytes wide, so a database holds at
-    most 2**32 - 1 entries.  ``item_labels[i]`` is the external label of
-    item id ``i``.  :attr:`transactions` reads the columns as a sequence
-    of :class:`Transaction`.
+    in which an entry of a frequent item breaks this), and ``tids[p]`` its
+    id, a ``range`` when the ids are ``1..n``.  ``ends`` is four bytes
+    wide, so a database holds at most 2**32 - 1 entries.
+    :attr:`transactions` reads the columns as a sequence of
+    :class:`Transaction`.
+
+    The constructor checks the table first: each unit utility must be
+    positive and finite, an int past the float range included.  Each row
+    is then checked as it arrives, so errors stay in file order.  Its
+    utility is a float sum of positive products in every loader, which
+    can overflow to infinity or underflow to 0, and a row built directly
+    can hold a NaN, negative or int one past the float range.  Tids must
+    be positive and strictly increasing; they are stored only once one is
+    not its 1-based position, and only then compared.  Every loader
+    refuses a quantity that is not positive, NaN included; a row built
+    directly can hold one, so each block of quantities is checked as it
+    is stored (see :func:`_stored`), and the first such entry is refused,
+    naming its transaction and item.
+
+    Each per-entry column is stored at the narrowest width that holds it
+    exactly.  Item ids take ``array('B')`` up to 256 labels and ``'i'``
+    beyond.  Quantities start in ``array('B')`` and widen once to a list
+    at anything it cannot hold: an int past 255, a float such as an spmf
+    utility, a Fraction.  A loader's infinite quantity never reaches a
+    column: its row's utility is not finite, and the row is rejected.
+    Reading an entry back gives a number equal to the one stored, of its
+    type; anything else that ``'B'`` takes as an integer, such as
+    ``True``, comes back as the int it equals.  The rows' entries are
+    buffered in lists and stored once ``_BLOCK_ENTRIES`` have come, as
+    ``array.fromlist`` stores a list faster than ``extend`` stores a row,
+    and leaves the column as it was when a value does not fit.
     """
 
     items: array[int]
@@ -121,8 +153,51 @@ class TransactionDatabase(_Frozen):
 
     _fields = ("items", "quantities", "ends", "tus", "tids", "utility_table", "item_labels")
 
-    def __init__(self, items, quantities, ends, tus, tids, utility_table, item_labels) -> None:
-        vars(self).update(zip(self._fields, (items, quantities, ends, tus, tids, utility_table, item_labels)))
+    def __init__(self, rows, utility_table, item_labels) -> None:
+        table: dict[int, float] = {}
+        for item, eu in utility_table.items():
+            try:
+                table[item] = unit = float(eu) if eu > 0 else 0.0  # nan is not > 0
+            except OverflowError:  # an int past the float range
+                eu = unit = math.inf
+            if not 0 < unit < math.inf:  # a positive value below the least float too
+                raise InvalidDatabaseError(
+                    f"unit utility for item {item_labels[item]!r} must be positive and finite, got {eu!r}"
+                )
+        items = array("B" if len(item_labels) <= 1 << 8 else "i")
+        quantities: array[int] | list[float] = array("B")
+        ends, tus = array("I"), array("d")
+        tids: list[int] | range | None = None
+        item_block: list[int] = []
+        qty_block: list[float] = []
+        for tid, by_id, tu in rows:
+            try:
+                tus.append(tu)
+            except OverflowError:  # an int past the float range
+                tu = math.inf
+            if not tu < math.inf:  # a product past the float range, an int beyond it, or nan
+                raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
+            if not tu > 0:  # 0 from products below the least positive float; shares divide by tu
+                why = "underflows to 0" if tu == 0 else f"is {tu!r}, not positive"
+                raise InvalidDatabaseError(f"utility of transaction {tid} {why}")
+            item_block.extend(by_id)
+            qty_block.extend(by_id.values())
+            ends.append(len(items) + len(item_block))
+            if tids is not None or tid != len(tus):  # tids past 1..n: a list from here on
+                if tids is None:
+                    tids = [*range(1, len(tus))]
+                if not tid > (tids[-1] if tids else 0):
+                    raise InvalidDatabaseError(f"transaction ids must be strictly increasing at tid {tid}")
+                tids.append(tid)
+            if len(item_block) >= _BLOCK_ENTRIES:
+                items.fromlist(item_block)
+                quantities = _stored(quantities, qty_block, item_block, ends, tids, item_labels)
+                item_block, qty_block = [], []
+        items.fromlist(item_block)
+        quantities = _stored(quantities, qty_block, item_block, ends, tids, item_labels)
+        if tids is None:
+            tids = range(1, len(tus) + 1)
+        vars(self).update(zip(self._fields, (items, quantities, ends, tus, tids, table, item_labels)))
 
     @property
     def size(self) -> int:
@@ -242,16 +317,20 @@ class MiningParams(namedtuple("MiningParams", "alpha beta minlen maxlen")):
     ``alpha`` is the minimum support ratio, ``beta`` the minimum
     utility-occupancy, and patterns are reported only when their length
     falls within ``[minlen, maxlen]``.  A named tuple, checked however it
-    is made: by the constructor, ``_make`` or ``_replace``.
+    is made: by the constructor, ``_make`` or ``_replace``; ``alpha`` and
+    ``beta`` are numbers, ``minlen`` and ``maxlen`` ints.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha: float, beta: float, minlen: int, maxlen: int) -> MiningParams:
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < beta <= 1.0:
-            raise InvalidParamsError(f"beta must be in (0, 1], got {beta}")
+        for name, ratio in (("alpha", alpha), ("beta", beta)):
+            try:
+                inside = 0.0 < ratio <= 1.0
+            except TypeError:  # a str or None compares with no float
+                raise InvalidParamsError(f"{name} must be a number, got {ratio!r}") from None
+            if not inside:
+                raise InvalidParamsError(f"{name} must be in (0, 1], got {ratio}")
         if not isinstance(minlen, int) or not isinstance(maxlen, int):
             raise InvalidParamsError("minlen and maxlen must be integers")
         if not 1 <= minlen <= maxlen:
@@ -293,74 +372,12 @@ def _number_items(
     utilities: Mapping[str, float],
 ) -> tuple[tuple[str, ...], dict[str, int], dict[int, float]]:
     """The labels of ``utilities`` in id order, each label's id and the
-    id-keyed table; the table is taken as it is, unchecked."""
+    id-keyed table, in id order; the table is taken as it is, for the
+    :class:`TransactionDatabase` constructor to check."""
     labels = tuple(sorted(utilities, key=_label_key))
     ids = {label: i for i, label in enumerate(labels)}
     table = {i: utilities[label] for i, label in enumerate(labels)}
     return labels, ids, table
-
-
-def _columns(
-    rows: Iterable[tuple[int, dict[int, float], float]],
-    table: dict[int, float],
-    labels: tuple[str, ...],
-) -> TransactionDatabase:
-    """The database of id-keyed ``(tid, {item: quantity}, tu)`` rows, the
-    one place every loader stores its transactions.  Each row's utility is
-    checked as the row arrives, so errors stay in file order: it sums float
-    products of positive numbers, which can overflow to infinity or
-    underflow to 0, and a row built directly can hold a NaN, negative or
-    int one past the float range.  Every loader refuses a quantity that is
-    not positive, NaN included; a row built directly can hold one, so each
-    block of quantities is checked as it is stored (see :func:`_stored`),
-    and the first such entry is refused, naming its transaction and item.
-    Tids are stored only once one is not its 1-based position.
-
-    Each per-entry column is stored at the narrowest width that holds it
-    exactly.  Item ids take ``array('B')`` up to 256 labels and ``'i'``
-    beyond.  Quantities start in ``array('B')`` and widen once to a list
-    at anything it cannot hold: an int past 255, a float such as an spmf
-    utility, a Fraction.  A loader's infinite quantity never reaches a
-    column: its row's utility is not finite, and the row is rejected.
-    Reading an entry back gives a number equal to the one stored, of its
-    type; anything else that ``'B'`` takes as an integer, such as
-    ``True``, comes back as the int it equals.  The rows' entries are
-    buffered in lists and stored once ``_BLOCK_ENTRIES`` have come, as
-    ``array.fromlist`` stores a list faster than ``extend`` stores a row,
-    and leaves the column as it was when a value does not fit."""
-    n = len(labels)
-    items = array("B" if n <= 1 << 8 else "i")
-    quantities: array[int] | list[float] = array("B")
-    ends, tus = array("I"), array("d")
-    tids: list[int] | range | None = None
-    item_block: list[int] = []
-    qty_block: list[float] = []
-    for tid, by_id, tu in rows:
-        try:
-            tus.append(tu)
-        except OverflowError:  # an int past the float range
-            tu = math.inf
-        if not tu < math.inf:  # a product past the float range, an int beyond it, or nan
-            raise InvalidDatabaseError(f"utility of transaction {tid} is not finite")
-        if not tu > 0:  # 0 from products below the least positive float; shares divide by tu
-            why = "underflows to 0" if tu == 0 else f"is {tu!r}, not positive"
-            raise InvalidDatabaseError(f"utility of transaction {tid} {why}")
-        item_block.extend(by_id)
-        qty_block.extend(by_id.values())
-        ends.append(len(items) + len(item_block))
-        if tids is not None:
-            tids.append(tid)
-        elif tid != len(tus):
-            tids = [*range(1, len(tus)), tid]
-        if len(item_block) >= _BLOCK_ENTRIES:
-            items.fromlist(item_block)
-            quantities = _stored(quantities, qty_block, item_block, ends, tids, labels)
-            item_block, qty_block = [], []
-    items.fromlist(item_block)
-    quantities = _stored(quantities, qty_block, item_block, ends, tids, labels)
-    if tids is None:
-        tids = range(1, len(tus) + 1)
-    return TransactionDatabase(items, quantities, ends, tus, tids, table, labels)
 
 
 def _stored(
@@ -372,7 +389,7 @@ def _stored(
     labels: tuple[str, ...],
 ) -> array[int] | list[float]:
     """``column`` with a block's ``values`` appended, widened from
-    ``array('B')`` to a list if they need it; see :func:`_columns`.  The
+    ``array('B')`` to a list if they need it; see :class:`TransactionDatabase`.  The
     first value that is not positive is refused, named by its item, of
     ``item_block``, and its transaction.  Stored in ``array('B')``, only a
     0 can be one, so the block's bytes are searched for a 0; a list is
@@ -405,29 +422,27 @@ def build_database(
     """Assemble a database from label-keyed ``(tid, {label: quantity})``
     rows, any iterable: the generator streams them, as library callers may.
 
-    Every entry of ``utilities`` is an item, checked first: its unit
-    utility must be positive and finite, and its label, coerced to a
-    string, gets a dense id in ascending label order, whether or not a row
-    lists it.  ``rows`` is then read once, each row converted to its
-    id-keyed transaction as it arrives, so errors come in row order.  Each
-    row's items need an entry in ``utilities``; tids must be positive and
-    strictly increasing, quantities positive, the labels of the table and
-    of each row distinct after coercion and transaction utilities finite
-    and, after rounding, above 0.
+    Every entry of ``utilities`` is an item, checked first, by the
+    :class:`TransactionDatabase` constructor: its unit utility must be
+    positive and finite, and its label, coerced to a string, gets a dense
+    id in ascending label order, whether or not a row lists it.  ``rows``
+    is then read once, each row converted to its id-keyed transaction as
+    it arrives, so errors come in row order.  Each row's items need an
+    entry in ``utilities``; tids must be positive and strictly increasing,
+    quantities positive, the labels of the table and of each row distinct
+    after coercion and transaction utilities finite and, after rounding,
+    above 0.
     """
     util: dict[str, float] = {}
     for key, eu in utilities.items():
         label = str(key)
-        if not 0 < eu < math.inf:
-            raise InvalidDatabaseError(
-                f"unit utility for item {label!r} must be positive and finite, got {eu!r}"
-            )
         if label in util:  # keys such as 1 and "1" name one item
             raise InvalidDatabaseError(f"the utility table lists item {label!r} twice")
-        util[label] = float(eu)
+        util[label] = eu
     labels, ids, table = _number_items(util)
 
     def id_rows() -> Iterator[tuple[int, dict[int, float], float]]:
+        unit = list(map(float, table.values()))  # by id; read once the constructor checked them
         last_tid = 0
         for tid, entries in rows:
             if not isinstance(tid, int) or tid <= 0:
@@ -447,14 +462,14 @@ def build_database(
                     )
                 by_id[item] = qty
                 try:
-                    tu += qty * table[item]
+                    tu += qty * unit[item]
                 except OverflowError:  # an int quantity beyond the float range
                     tu = math.inf
             if len(by_id) < len(entries):  # keys such as 1 and "1" name one item
                 raise InvalidDatabaseError(f"transaction {tid} lists an item twice")
             yield tid, by_id, tu
 
-    return _columns(id_rows(), table, labels)
+    return TransactionDatabase(id_rows(), table, labels)
 
 
 def support_counts(db: TransactionDatabase) -> dict[int, int]:

@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .database import HUOPResult, TransactionDatabase, build_database
-from .database import _columns, _decimal_digits, _number_items
+from .database import _decimal_digits, _number_items
 from .errors import DatasetFormatError, InvalidDatabaseError, InvalidParamsError
 
 TU_TOLERANCE = 1e-6
@@ -118,7 +118,7 @@ def parse_spmf_utility(source) -> TransactionDatabase:
     tokens = {token for _, line in lines for token in line.partition(":")[0].split()}
     canonical = {token: _decimal_digits(token) or "0" for token in tokens if token.isdecimal()}
     labels, ids, table = _number_items(dict.fromkeys(canonical.values(), 1.0))
-    return _columns(_spmf_rows(text, {t: ids[c] for t, c in canonical.items()}), table, labels)
+    return TransactionDatabase(_spmf_rows(text, {t: ids[c] for t, c in canonical.items()}), table, labels)
 
 
 def _spmf_rows(text: str, ids: Mapping[str, int]) -> Iterator[tuple[int, dict[int, float], float]]:
@@ -222,7 +222,7 @@ def parse_quantity_profit(tx_source, profit_source) -> TransactionDatabase:
                 tu += u
             yield tid, by_id, tu
 
-    return _columns(id_rows(), table, labels)
+    return TransactionDatabase(id_rows(), table, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +233,18 @@ class GeneratorSpec(
 ):
     """Shape of a synthetic database; the same spec always produces the
     same database.  A named tuple, checked however it is made: by the
-    constructor, ``_make`` or ``_replace``."""
+    constructor, ``_make`` or ``_replace``; every field but ``seed`` is an
+    int."""
 
     __slots__ = ()
 
     def __new__(cls, n_items: int, n_transactions: int, avg_transaction_len: int,
                 max_quantity: int = 5, max_unit_utility: int = 10, seed: int = 0) -> GeneratorSpec:
+        sizes = (n_items, n_transactions, avg_transaction_len, max_quantity, max_unit_utility)
+        if not all(isinstance(size, int) for size in sizes):
+            raise InvalidParamsError(
+                "n_items, n_transactions, avg_transaction_len, max_quantity and max_unit_utility must be integers"
+            )
         if n_items < 1 or n_transactions < 1:
             raise InvalidParamsError("need at least one item and one transaction")
         if not 1 <= avg_transaction_len <= n_items:
@@ -326,9 +332,17 @@ def write_stats_csv(rows: Iterable[Mapping[str, object]], dest) -> None:
 def write_quantity_profit(db: TransactionDatabase, tx_dest, profit_dest) -> None:
     """Write a database in the quantity-profit pair of files, each quantity
     as the decimal digits the qty loader reads.  A quantity that is not a
-    whole number, such as an spmf utility of 2.5, raises
-    ``InvalidDatabaseError`` naming its transaction and item before either
-    destination is opened."""
+    whole number, such as an spmf utility of 2.5, or a label that the qty
+    loader would not read back as one token, as it is empty, holds
+    whitespace or starts a comment with ``#``, raises
+    ``InvalidDatabaseError`` naming it before either destination is
+    opened."""
+    for label in db.item_labels:
+        if label.split() != [label] or label.startswith("#"):
+            raise InvalidDatabaseError(
+                f"item label {label!r} is empty, holds whitespace or starts with '#':"
+                " the qty loader cannot read it back"
+            )
     for e, qty in enumerate(db.quantities):
         if qty % 1:  # a fraction, or nan for an infinite or nan quantity
             tid, label = db.tids[bisect_right(db.ends, e)], db.item_labels[db.items[e]]

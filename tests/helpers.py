@@ -12,7 +12,6 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from huopminer import TransactionDatabase, build_database, parse_quantity_profit
-from huopminer.database import _columns
 
 SAMPLE_ROWS = [
     (1, {"a": 3, "b": 4, "c": 2, "d": 6, "e": 2}),
@@ -73,14 +72,6 @@ def joined_labels(db: TransactionDatabase, pattern) -> str:
 
 def results_by_label(db, results) -> dict[str, tuple[int, float]]:
     return {joined_labels(db, r.pattern): (r.sup, r.uo) for r in results}
-
-
-def database_of(transactions, utility_table, item_labels) -> TransactionDatabase:
-    """A database holding ``transactions`` as they are: their tids, their
-    ``tu``s and their entries in their order, stored by ``database._columns``
-    as every loader stores its rows.  A row is checked only as ``_columns``
-    checks every row, for a ``tu`` that is finite and positive."""
-    return _columns(((tx.tid, tx.entries, tx.tu) for tx in transactions), utility_table, item_labels)
 
 
 def transaction(db: TransactionDatabase, tid: int):

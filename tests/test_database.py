@@ -3,25 +3,29 @@
 import copy
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, SAMPLE_TUS, database_of, small_databases, transaction
+from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, SAMPLE_TUS, small_databases, transaction
 from huopminer import (
     GeneratorSpec,
     HUOPResult,
     MiningParams,
     TotalOrder,
     Transaction,
+    TransactionDatabase,
     build_database,
     build_total_order,
     database,
+    generate_synthetic,
     mine,
     min_support_count,
     parse_quantity_profit,
+    parse_spmf_utility,
     revise_database,
     support_counts,
 )
@@ -199,8 +203,8 @@ def test_columns_hold_big_tids_and_quantities_exactly():
     # a quantity of 400 digits makes no finite utility, so no loader
     # stores one, but the quantity column holds it all the same
     huge = int("7" * 400)
-    db = database_of(
-        transactions=[Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0)],
+    db = TransactionDatabase(
+        rows=[Transaction(5 * 10**12, {0: huge, 1: 1}, 3.0)],
         utility_table={0: 1.0, 1: 1.0},
         item_labels=("a", "b"),
     )
@@ -290,8 +294,8 @@ def test_revision_idempotent(sample_db):
     order = build_total_order(support_counts(sample_db), 3)
     rdb = revise_database(sample_db, order)
     again = revise_database(
-        database_of(
-            transactions=rdb.transactions,
+        TransactionDatabase(
+            rows=rdb.transactions,
             utility_table=sample_db.utility_table,
             item_labels=sample_db.item_labels,
         ),
@@ -372,22 +376,25 @@ def test_build_database_rejects_a_transaction_utility_that_underflows():
     [
         (math.nan, "is not finite"),
         pytest.param(10**400, "is not finite", id="10**400-is not finite"),
+        (math.inf, "is not finite"),
         (-3.0, "is -3.0, not positive"),
+        (0.0, "underflows to 0"),
     ],
 )
-def test_the_columns_refuse_a_transaction_utility_that_is_nan_or_negative(tu, message):
+def test_the_constructor_refuses_a_transaction_utility_that_is_nan_or_negative(tu, message):
     # no loader sums such a tu, but a database built directly can hold one;
     # a negative tu made every share of its row negative, and mine reported
-    # nothing instead of refusing the database.  An int past the float
+    # nothing instead of refusing the database; a 0 divided every share by
+    # 0, and an infinite one made every share 0.  An int past the float
     # range compares below inf, and storing it raised a bare OverflowError
     rows = [Transaction(1, {0: 2, 1: 1}, tu), Transaction(2, {0: 1, 1: 1}, 2.0)]
     with pytest.raises(InvalidDatabaseError, match=f"^utility of transaction 1 {message}$"):
-        database_of(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+        TransactionDatabase(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
 
 
 @pytest.mark.parametrize("qty", [-2, 0, math.nan])
 @pytest.mark.parametrize("first", [True, False], ids=["first", "after"])
-def test_the_columns_refuse_a_quantity_that_is_not_positive(qty, first):
+def test_the_constructor_refuses_a_quantity_that_is_not_positive(qty, first):
     # every loader refuses such a quantity, but a database built directly
     # can hold one: mine and the oracle both mined a's negative share of
     # -2/7 silently.  A 0 leaves the quantities one byte wide, -2 and nan
@@ -400,7 +407,60 @@ def test_the_columns_refuse_a_quantity_that_is_not_positive(qty, first):
         rows, tid = [Transaction(3, good, 2.0), Transaction(8, bad, 7.0)], 8
     message = f"^quantity for item 'a' in transaction {tid} must be positive, got {qty!r}$"
     with pytest.raises(InvalidDatabaseError, match=message):
-        database_of(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+        TransactionDatabase(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "tids, bad",
+    [((1, 1, 2), 1), ((2, 5, 3), 3), ((0, 1, 2), 0), ((-4, 1, 2), -4)],
+    ids=["repeated", "decreasing", "zero first", "negative first"],
+)
+def test_the_constructor_refuses_tids_that_do_not_increase(tids, bad):
+    # a repeated tid made mine count a twice while the oracle, keying
+    # transactions by tid, counted it once
+    entries = ({0: 1}, {0: 1, 1: 1}, {1: 1})
+    rows = [Transaction(tid, by_id, float(len(by_id))) for tid, by_id in zip(tids, entries)]
+    with pytest.raises(InvalidDatabaseError, match=f"^transaction ids must be strictly increasing at tid {bad}$"):
+        TransactionDatabase(rows, {0: 1.0, 1: 1.0}, ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "unit, shown",
+    [(math.nan, "nan"), (0, "0"), (-1.5, "-1.5"), (math.inf, "inf"), (Fraction(1, 10**400), "Fraction(1, 1"),
+     pytest.param(10**400, "inf", id="10**400")],
+)
+def test_the_constructor_refuses_a_unit_utility_that_is_not_positive_and_finite(unit, shown):
+    # checked before any row is read, as build_database checked its table;
+    # an int past the float range compares below inf, and build_database
+    # raised a bare OverflowError converting it; a Fraction below the least
+    # float would make every product 0
+    message = f"^unit utility for item 'b' must be positive and finite, got {re.escape(shown)}"
+    rows = [Transaction(1, {0: 1, 1: 1}, 2.0)]
+    with pytest.raises(InvalidDatabaseError, match=message):
+        TransactionDatabase(rows, {0: 1.0, 1: unit}, ("a", "b"))
+    with pytest.raises(InvalidDatabaseError, match=message):
+        build_database(iter(["not a row"]), {"a": 1, "b": unit})
+
+
+def test_the_constructor_rebuilds_every_database_from_its_transactions():
+    # gapped tids and both quantity columns, from each loader: the
+    # transactions with the table and labels give back an equal database
+    text = "a:1 b:2\nb:300 c:1\na:4\n"
+    databases = {
+        "qty bytes": parse_quantity_profit(io.StringIO(text.replace("300", "3")), io.StringIO("a 2\nb 1\nc 3.5\n")),
+        "qty list": parse_quantity_profit(io.StringIO(text), io.StringIO("a 2\nb 1\nc 3.5\n")),
+        "spmf": parse_spmf_utility(io.StringIO("1 2:5.5:2.5 3\n3:4:4\n")),
+        "gen": generate_synthetic(GeneratorSpec(9, 40, 3, seed=5)),
+        "gapped bytes": build_database([(3, {"a": 2}), (4, {"b": 1, "a": 1}), (9, {"c": 5})], {"c": 1, "b": 2, "a": 3}),
+        "gapped list": build_database([(2, {"a": 2.5}), (10**12, {"b": 2**70})], {"a": 1, "b": 2}),
+    }
+    kinds = {name: (type(db.tids).__name__, type(db.quantities).__name__) for name, db in databases.items()}
+    assert kinds == {
+        "qty bytes": ("range", "array"), "qty list": ("range", "list"), "spmf": ("range", "list"),
+        "gen": ("range", "array"), "gapped bytes": ("list", "array"), "gapped list": ("list", "list"),
+    }
+    for db in databases.values():
+        assert TransactionDatabase(db.transactions, db.utility_table, db.item_labels) == db
 
 
 _RECORDS = {
@@ -435,6 +495,7 @@ _COPIES = {
 }
 
 
+_SIZES_ARE_INTS = "n_items, n_transactions, avg_transaction_len, max_quantity and max_unit_utility must be integers"
 _BAD_FIELDS = {
     "alpha": ("MiningParams", {"alpha": 0.0}, r"alpha must be in \(0, 1\], got 0.0"),
     "beta": ("MiningParams", {"beta": 1.5}, r"beta must be in \(0, 1\], got 1.5"),
@@ -445,6 +506,12 @@ _BAD_FIELDS = {
         "GeneratorSpec", {"avg_transaction_len": 10}, r"avg_transaction_len must be in \[1, n_items\]"
     ),
     "max_quantity": ("GeneratorSpec", {"max_quantity": 0}, "max_quantity and max_unit_utility must be >= 1"),
+    # a bare TypeError from the comparison, from generate_synthetic, or a
+    # bare ValueError from randint, before these were checked
+    "alpha type": ("MiningParams", {"alpha": "0.5"}, "alpha must be a number, got '0.5'"),
+    "beta type": ("MiningParams", {"beta": None}, "beta must be a number, got None"),
+    "n_items type": ("GeneratorSpec", {"n_items": 9.5}, _SIZES_ARE_INTS),
+    "max_quantity type": ("GeneratorSpec", {"max_quantity": 2.5}, _SIZES_ARE_INTS),
 }
 
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, database_of, make_sample_db, results_by_label
+from helpers import SAMPLE_PROFITS, SAMPLE_ROWS, make_sample_db, results_by_label
 from huopminer import (
     GeneratorSpec,
     MiningParams,
     Transaction,
+    TransactionDatabase,
     build_database,
     generate_synthetic,
     mine,
@@ -548,11 +549,19 @@ def test_fractional_unit_utilities_round_trip(tmp_path):
         (lambda: build_database([(1, {"a": 2}), (2, {"a": Fraction(1, 3)})], {"a": 3}),
          "quantity Fraction(1, 3) for item 'a' in transaction 2 is not a whole number", None),
         # whole quantities of any type are written as the digits of their int
-        (lambda: database_of([Transaction(1, {0: int("7" * 400), 1: 3.0, 2: Fraction(6, 2)}, 3.0)],
-                             {0: 1.0, 1: 1.0, 2: 1.0}, ("a", "b", "c")),
+        (lambda: TransactionDatabase([Transaction(1, {0: int("7" * 400), 1: 3.0, 2: Fraction(6, 2)}, 3.0)],
+                                     {0: 1.0, 1: 1.0, 2: 1.0}, ("a", "b", "c")),
          None, f"a:{'7' * 400} b:3 c:3\n"),
+        # the qty loader splits a line at whitespace and skips a '#' line:
+        # '#x' was written, and read back as 1 transaction, (1, {z: 3})
+        *(
+            (lambda label=label: build_database([(1, {label: 2, "z": 1}), (2, {"z": 3})], {label: 3, "z": 1}),
+             f"item label {label!r} is empty, holds whitespace or starts with '#': the qty loader cannot read it back",
+             None)
+            for label in ("a b", "", "#x")
+        ),
     ],
-    ids=["spmf utility", "fraction", "whole quantities"],
+    ids=["spmf utility", "fraction", "whole quantities", "label with a space", "empty label", "label with a hash"],
 )
 def test_qty_writer_writes_only_what_the_qty_loader_reads(tmp_path, make_db, error, text):
     db = make_db()

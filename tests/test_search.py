@@ -1,9 +1,7 @@
 """Search engine: bounds, golden results, length window, stats."""
 
 import inspect
-import math
 import sys
-from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GOLDEN_18, database_of, ids_of, joined_labels, results_by_label, small_databases
+from helpers import GOLDEN_18, ids_of, joined_labels, results_by_label, small_databases
 from huopminer import (
     MiningParams,
     Transaction,
@@ -297,17 +295,12 @@ def test_a_share_above_one_is_refused():
     # leaf gate's planes hold shares up to 1 alone, so the scan, where
     # every share is made, refuses the database instead of mining it.  An
     # int quantity past the float range has an infinite share, refused the
-    # same way.  A nan tu makes a nan share: the columns refuse such a tu,
-    # so that database is built with the constructor, which checks nothing
+    # same way.  A nan tu, which would make a nan share, the constructor
+    # refuses itself
     items = {"utility_table": {0: 1.0, 1: 1.0}, "item_labels": ("a", "b")}
-    above = database_of([Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)], **items)
-    overflowing = database_of([Transaction(1, {0: int("7" * 400), 1: 1}, 3.0)], **items)
-    finite = database_of([Transaction(1, {0: 2}, 2.0), Transaction(2, {0: 1, 1: 1}, 2.0)], **items)
-    not_a_number = TransactionDatabase(
-        finite.items, finite.quantities, finite.ends, array("d", [math.nan, 2.0]),
-        finite.tids, finite.utility_table, finite.item_labels,
-    )
-    for db, share in ((above, "2.9"), (overflowing, "inf"), (not_a_number, "nan")):
+    above = TransactionDatabase([Transaction(1, {0: 29, 1: 1}, 10.0), Transaction(2, {0: 1, 1: 1}, 20.0)], **items)
+    overflowing = TransactionDatabase([Transaction(1, {0: int("7" * 400), 1: 1}, 3.0)], **items)
+    for db, share in ((above, "2.9"), (overflowing, "inf")):
         message = f"share of item 'a' in transaction 1 is {share}, not at most 1"
         with pytest.raises(InvalidDatabaseError, match=message):
             mine(db, MiningParams(0.5, 0.9, 1, 2))
@@ -319,8 +312,8 @@ def test_a_share_of_exactly_one_is_mined():
     # a tu equal to its single entry's utility gives a share of exactly 1,
     # the edge of the contract: the scan takes it, and the engine, the
     # leaf gate included, reports what the oracle reports
-    db = database_of(
-        transactions=[
+    db = TransactionDatabase(
+        rows=[
             Transaction(1, {0: 7}, 21.0),
             Transaction(2, {0: 1, 1: 2}, 5.0),
             Transaction(3, {0: 2, 1: 1}, 7.0),
